@@ -16,7 +16,7 @@ let run (f : Ir.func) : int =
   let changed = ref true in
   while !changed do
     changed := false;
-    let scev = Queries.scev f in
+    let scev = Scev.create f in
     let order = Ir.compute_order f in
     let eff = Ir.effective_preds f in
     (* hoist from [lp]'s body into the parent's item list; returns the

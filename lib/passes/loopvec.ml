@@ -91,7 +91,7 @@ let region_of_loop f lid =
   | None -> invalid_arg "Loopvec: loop not placed"
 
 let vectorize_loop ?(vl = 4) (f : Ir.func) (lid : Ir.loop_id) : outcome =
-  let scev = Queries.scev f in
+  let scev = Scev.create f in
   if not (Unroll.eligible f scev lid) then Not_vectorized "not a counted innermost loop"
   else
     match classic_checks f scev lid with

@@ -49,14 +49,17 @@ type t = {
      splits into one unit per top-level kernel; each unit is asked,
      and either hits the artifact cache, coalesces onto a same-batch
      duplicate, or recompiles.  [uinvalidated] counts recompiles of a
-     kernel {e name} the service had already compiled under a different
-     content fingerprint — i.e. edits detected, not first sights. *)
+     kernel {e name} the service had already compiled under the same
+     pipeline and flags but a different content fingerprint — i.e. edits
+     detected, not first sights (the same kernel under a second pipeline
+     is a first sight of that compile, not an edit). *)
   mutable uqueries : int;
   mutable uhits : int;
   mutable uinvalidated : int;
   mutable urecomputed : int;
   fp_by_name : (string, string) Hashtbl.t;
-      (** kernel name -> unit key of its last compiled content *)
+      (** kernel name × pipeline × flags -> unit key of its last
+          compiled content *)
 }
 
 let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
@@ -233,16 +236,20 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
                     t.urecomputed <- t.urecomputed + 1;
                     Tm.incr "service.incremental.recomputed";
                     (* an edit: this kernel name was compiled before,
-                       under different content/flags *)
+                       under the same pipeline and flags but different
+                       content *)
                     (match u with
                     | Ufn fd ->
-                      let name = fd.Fgv_frontend.Ast.fdname in
-                      (match Hashtbl.find_opt t.fp_by_name name with
+                      let slot =
+                        String.concat "\x00"
+                          (fd.Fgv_frontend.Ast.fdname :: Cache.flag_fields rq)
+                      in
+                      (match Hashtbl.find_opt t.fp_by_name slot with
                       | Some old_key when old_key <> key ->
                         t.uinvalidated <- t.uinvalidated + 1;
                         Tm.incr "service.incremental.invalidated"
                       | _ -> ());
-                      Hashtbl.replace t.fp_by_name name key
+                      Hashtbl.replace t.fp_by_name slot key
                     | Uwhole -> ());
                     Hashtbl.add pending_set key ();
                     pending := (rq, u, key, seq i) :: !pending;

@@ -7,19 +7,23 @@
    one underflow bucket [0, 2^-30) at index 0 and one overflow bucket
    [2^10, ∞) at the end — 322 ints per histogram.
 
-   Indexing is [frexp]: for v > 0, [frexp v = (m, e')] with m in
-   [0.5, 1), so v = m·2^e' lies in octave e'-1 and the sub-bucket is
-   ⌊(2m - 1)·8⌋ — a handful of float ops, no table walk, and a pure
-   function of the sample's bits (the determinism contract rests on
-   this).  Bounds are rebuilt with [ldexp], hence exact binary floats
+   Indexing reads the IEEE fields: for v > 0, v = 1.f·2^oct, where oct
+   is the unbiased exponent and the sub-bucket is the top three bits of
+   f (= ⌊(1.f - 1)·8⌋) — a few integer ops, no table walk, no boxing,
+   and a pure function of the sample's bits (the determinism contract
+   rests on this).  Subnormals fall below e_min and infinity above
+   e_max.  Bounds are rebuilt with [ldexp], hence exact binary floats
    that survive %.17g round-trips.
 
    There is intentionally NO running sum of samples: float addition is
    order-sensitive, and a sum would break the merge-associativity
    property test_obslog fuzzes.  Min/max are kept instead (exact
-   sample values; min and max of a multiset are order-free). *)
+   sample values; min and max of a multiset are order-free).  They live
+   in a flat float array, so a new extreme is stored in place: with the
+   bit-level indexing, recording a sample never allocates. *)
 
-let sub_buckets = 8
+let sub_bits = 3
+let sub_buckets = 1 lsl sub_bits
 let e_min = -30
 let e_max = 10
 let n_regular = (e_max - e_min) * sub_buckets
@@ -29,26 +33,30 @@ let overflow = n_buckets - 1
 type t = {
   counts : int array; (* length n_buckets *)
   mutable total : int;
-  mutable mn : float; (* nan when empty *)
-  mutable mx : float;
+  ext : Float.Array.t; (* [| min; max |], nan when empty *)
 }
 
 let create () =
-  { counts = Array.make n_buckets 0; total = 0; mn = nan; mx = nan }
+  { counts = Array.make n_buckets 0; total = 0; ext = Float.Array.make 2 nan }
 
 let copy h =
-  { counts = Array.copy h.counts; total = h.total; mn = h.mn; mx = h.mx }
+  { counts = Array.copy h.counts; total = h.total; ext = Float.Array.copy h.ext }
+
+let min_sample h = Float.Array.get h.ext 0
+let max_sample h = Float.Array.get h.ext 1
 
 let index_of v =
   if not (v > 0.0) then 0 (* ≤ 0, NaN *)
   else
-    let m, e' = Float.frexp v in
-    let oct = e' - 1 in
+    let bits = Int64.bits_of_float v in
+    let oct = Int64.to_int (Int64.shift_right_logical bits 52) - 1023 in
     if oct < e_min then 0
     else if oct >= e_max then overflow
     else
-      let sub = int_of_float (((m *. 2.0) -. 1.0) *. float_of_int sub_buckets) in
-      let sub = if sub >= sub_buckets then sub_buckets - 1 else sub in
+      let sub =
+        Int64.to_int (Int64.shift_right_logical bits (52 - sub_bits))
+        land (sub_buckets - 1)
+      in
       1 + ((oct - e_min) * sub_buckets) + sub
 
 (* Inverse of [index_of] for regular buckets: exact binary bounds. *)
@@ -69,23 +77,24 @@ let record h v =
   (* NaN samples count but do not disturb min/max. *)
   if Float.is_nan v then ()
   else begin
-    if Float.is_nan h.mn || v < h.mn then h.mn <- v;
-    if Float.is_nan h.mx || v > h.mx then h.mx <- v
+    let mn = Float.Array.get h.ext 0 and mx = Float.Array.get h.ext 1 in
+    if Float.is_nan mn || v < mn then Float.Array.set h.ext 0 v;
+    if Float.is_nan mx || v > mx then Float.Array.set h.ext 1 v
   end
 
 let count h = h.total
-let min_sample h = h.mn
-let max_sample h = h.mx
 
 let merge_into ~into src =
   for i = 0 to n_buckets - 1 do
     into.counts.(i) <- into.counts.(i) + src.counts.(i)
   done;
   into.total <- into.total + src.total;
-  if not (Float.is_nan src.mn) then
-    if Float.is_nan into.mn || src.mn < into.mn then into.mn <- src.mn;
-  if not (Float.is_nan src.mx) then
-    if Float.is_nan into.mx || src.mx > into.mx then into.mx <- src.mx
+  let smn = min_sample src and smx = max_sample src in
+  let imn = min_sample into and imx = max_sample into in
+  if not (Float.is_nan smn) then
+    if Float.is_nan imn || smn < imn then Float.Array.set into.ext 0 smn;
+  if not (Float.is_nan smx) then
+    if Float.is_nan imx || smx > imx then Float.Array.set into.ext 1 smx
 
 let quantile h q =
   if h.total = 0 then nan
@@ -95,9 +104,10 @@ let quantile h q =
       let r = int_of_float (Float.ceil (q *. float_of_int h.total)) in
       if r < 1 then 1 else r
     in
+    let mn = min_sample h and mx = max_sample h in
     (* The 1st and the last order statistic are known exactly. *)
-    if rank <= 1 && not (Float.is_nan h.mn) then h.mn
-    else if rank >= h.total && not (Float.is_nan h.mx) then h.mx
+    if rank <= 1 && not (Float.is_nan mn) then mn
+    else if rank >= h.total && not (Float.is_nan mx) then mx
     else begin
     let i = ref 0 and cum = ref h.counts.(0) in
     while !cum < rank do
@@ -118,8 +128,8 @@ let quantile h q =
       else lo +. (frac *. (hi -. lo))
     in
     (* Clamp to observed extremes: buckets overshoot real samples. *)
-    let v = if not (Float.is_nan h.mn) && v < h.mn then h.mn else v in
-    let v = if not (Float.is_nan h.mx) && v > h.mx then h.mx else v in
+    let v = if not (Float.is_nan mn) && v < mn then mn else v in
+    let v = if not (Float.is_nan mx) && v > mx then mx else v in
     v
     end
   end
@@ -138,8 +148,8 @@ let to_json h =
   Json.Assoc
     [
       ("count", Int h.total);
-      ("min", fl h.mn);
-      ("max", fl h.mx);
+      ("min", fl (min_sample h));
+      ("max", fl (max_sample h));
       ("p50", q 0.5);
       ("p90", q 0.9);
       ("p99", q 0.99);
@@ -163,10 +173,11 @@ let registry () = Domain.DLS.get registry_key
 
 let observe name v =
   let reg = registry () in
+  (* [find], not [find_opt]: the option would be the one allocation *)
   let h =
-    match Hashtbl.find_opt reg name with
-    | Some h -> h
-    | None ->
+    match Hashtbl.find reg name with
+    | h -> h
+    | exception Not_found ->
       let h = create () in
       Hashtbl.add reg name h;
       h

@@ -89,6 +89,27 @@ let test_histogram_edges () =
         [ lo; hi ])
     buckets
 
+(* Recording never allocates, also when every sample is a new extreme:
+   the service's latency histograms see one sample per request, so a
+   boxed min/max would make its allocation depend on timing. *)
+let test_observe_allocation_free () =
+  (* pre-boxed samples, alternately a new maximum and a new minimum *)
+  let samples =
+    List.init 10_000 (fun i ->
+        if i mod 2 = 0 then 1.0 +. float_of_int i
+        else 1.0 /. float_of_int (i + 2))
+  in
+  let words, _shard =
+    H.isolated (fun () ->
+        H.observe "obslog.alloc" 1.0;
+        let w0 = Gc.minor_words () in
+        List.iter (fun v -> H.observe "obslog.alloc" v) samples;
+        let w1 = Gc.minor_words () in
+        w1 -. w0)
+  in
+  Alcotest.(check (float 0.0)) "no minor words over 10 000 observes" 0.0
+    words
+
 let hist_json h = J.to_string ~minify:true (H.to_json h)
 
 let of_samples xs =
@@ -357,6 +378,8 @@ let suite =
     Alcotest.test_case "histogram basics" `Quick test_histogram_basics;
     Alcotest.test_case "quantile goldens" `Quick test_quantile_golden;
     Alcotest.test_case "under/overflow buckets" `Quick test_histogram_edges;
+    Alcotest.test_case "observe is allocation-free" `Quick
+      test_observe_allocation_free;
     QCheck_alcotest.to_alcotest prop_merge_assoc_comm;
     Alcotest.test_case "shard merge is order-free" `Quick
       test_shard_merge_order_free;

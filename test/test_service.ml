@@ -259,6 +259,24 @@ let test_failures_not_cached () =
   | P.Compiled _ | P.Compiled_many _ ->
     Alcotest.fail "expected an unknown-pipeline failure"
 
+(* An edit is new content under a kernel's name, pipeline and flags.
+   The same kernel under a second pipeline is a first sight of that
+   compile, not an edit. *)
+let test_second_pipeline_is_not_an_edit () =
+  let svc = S.create ~jobs:1 () in
+  ignore (S.handle_request svc (rq ~pipeline:"sv+v" src));
+  ignore (S.handle_request svc (rq ~pipeline:"o3" src));
+  ignore (S.handle_request svc (rq ~pipeline:"sv+v" ~no_restrict:true src));
+  Alcotest.(check int) "three compiles" 3 svc.S.urecomputed;
+  Alcotest.(check int) "no invalidation across pipelines or flags" 0
+    svc.S.uinvalidated;
+  let edited =
+    "kernel k(float* restrict a, float* restrict b, int n) { for (int i = \
+     0; i < n; i = i + 1) { a[i] = b[i] + 2.0; } }"
+  in
+  ignore (S.handle_request svc (rq ~pipeline:"o3" edited));
+  Alcotest.(check int) "a real edit invalidates once" 1 svc.S.uinvalidated
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -272,4 +290,6 @@ let suite =
     Alcotest.test_case "control ops" `Quick test_handle_line_ops;
     Alcotest.test_case "failures are not cached" `Quick
       test_failures_not_cached;
+    Alcotest.test_case "second pipeline is not an edit" `Quick
+      test_second_pipeline_is_not_an_edit;
   ]

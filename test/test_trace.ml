@@ -251,6 +251,16 @@ let test_golden_s131_decisions () =
   (* collect_remarks restored the disabled state *)
   Alcotest.(check bool) "remarks flag restored" false (Tr.remarks_on ())
 
+(* Plan inference and the min-cut run inline in the compile, so their
+   spans reach the trace: per-layer accounting reads its versioning
+   self-times from exactly these two names. *)
+let test_s131_versioning_spans () =
+  with_tracing ~spans:true (fun () ->
+      ignore (P.sv_versioning (Harness.compile s131_src));
+      let begun name = List.mem ("B", name) (span_shape ()) in
+      Alcotest.(check bool) "plan.infer span emitted" true (begun "plan.infer");
+      Alcotest.(check bool) "cut.find span emitted" true (begun "cut.find"))
+
 (* ---------------------------------------------------------------- udiff *)
 
 let test_udiff_equal_is_empty () =
@@ -317,6 +327,8 @@ let suite =
       test_remark_determinism_across_jobs;
     Alcotest.test_case "golden s131 decision sequence" `Quick
       test_golden_s131_decisions;
+    Alcotest.test_case "s131 plan.infer and cut.find spans" `Quick
+      test_s131_versioning_spans;
     Alcotest.test_case "udiff: equal inputs" `Quick test_udiff_equal_is_empty;
     Alcotest.test_case "udiff: golden hunk" `Quick test_udiff_golden;
     Alcotest.test_case "udiff: hunk grouping and labels" `Quick
