@@ -7,37 +7,57 @@
 open Fgv_pssa
 
 type t = { terms : (Ir.value_id * int) list; konst : int }
-(* terms sorted by value id, no zero coefficients *)
+(* Invariant: terms sorted by value id, one term per value, no zero
+   coefficients.  Every operation below preserves it, so two expressions
+   over the same values have structurally equal term lists. *)
 
-let norm terms =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (v, k) ->
-      let cur = Option.value ~default:0 (Hashtbl.find_opt tbl v) in
-      Hashtbl.replace tbl v (cur + k))
-    terms;
-  Hashtbl.fold (fun v k acc -> if k = 0 then acc else (v, k) :: acc) tbl []
-  |> List.sort compare
+(* [axpy k a b] is the term list of a + k*b, by one merge of the two
+   sorted lists; terms that cancel are dropped. *)
+let rec axpy k a b =
+  match a, b with
+  | _, [] -> a
+  | [], _ when k = 1 -> b
+  | [], (v, c) :: b' ->
+    let c = k * c in
+    if c = 0 then axpy k a b' else (v, c) :: axpy k a b'
+  | ((va, ca) as ta) :: a', (vb, cb) :: b' ->
+    if va < vb then ta :: axpy k a' b
+    else if vb < va then
+      let c = k * cb in
+      if c = 0 then axpy k a b' else (vb, c) :: axpy k a b'
+    else
+      let c = ca + (k * cb) in
+      if c = 0 then axpy k a' b' else (va, c) :: axpy k a' b'
 
-let make terms konst = { terms = norm terms; konst }
+(* Normalize an arbitrary term list: sort by value id, then sum the
+   coefficients of each value. *)
+let make terms konst =
+  let sorted = List.sort (fun (v, _) (w, _) -> Int.compare v w) terms in
+  let rec sum = function
+    | (v, k) :: (w, k') :: rest when v = w -> sum ((v, k + k') :: rest)
+    | (_, 0) :: rest -> sum rest
+    | t :: rest -> t :: sum rest
+    | [] -> []
+  in
+  { terms = sum sorted; konst }
+
 let const k = { terms = []; konst = k }
 let of_value v = { terms = [ (v, 1) ]; konst = 0 }
 let is_const e = e.terms = []
 
-let add a b = make (a.terms @ b.terms) (a.konst + b.konst)
+let add a b = { terms = axpy 1 a.terms b.terms; konst = a.konst + b.konst }
 
 let scale k e =
   if k = 0 then const 0
   else { terms = List.map (fun (v, c) -> (v, c * k)) e.terms; konst = e.konst * k }
 
-let sub a b = add a (scale (-1) b)
+let sub a b = { terms = axpy (-1) a.terms b.terms; konst = a.konst - b.konst }
 let add_const k e = { e with konst = e.konst + k }
 let equal a b = a.terms = b.terms && a.konst = b.konst
 
-(* [diff a b] is [Some k] when a - b is the constant k. *)
-let diff a b =
-  let d = sub a b in
-  if is_const d then Some d.konst else None
+(* [diff a b] is [Some k] when a - b is the constant k.  By the
+   invariant, a - b has no terms exactly when the term lists are equal. *)
+let diff a b = if a.terms = b.terms then Some (a.konst - b.konst) else None
 
 let terms e = e.terms
 let constant e = e.konst
@@ -48,7 +68,7 @@ let subst v e repl =
   | None -> e
   | Some k ->
     let rest = List.filter (fun (w, _) -> w <> v) e.terms in
-    add { terms = rest; konst = e.konst } (scale k repl)
+    { terms = axpy k rest repl.terms; konst = e.konst + (k * repl.konst) }
 
 let mentions e v = List.mem_assoc v e.terms
 

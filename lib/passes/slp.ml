@@ -540,10 +540,9 @@ let codegen s : int =
 (* --------------------------------------------------------------- run *)
 
 (* Vectorize one region. Returns the number of vector instructions
-   emitted. *)
-let run_region ?(config = default_config) (f : Ir.func) (region : Ir.region)
-    (stats : stats) : int =
-  let scev = Scev.create f in
+   emitted.  [scev] must describe [f] as it is now. *)
+let run_region ?(config = default_config) ~scev (f : Ir.func)
+    (region : Ir.region) (stats : stats) : int =
   let vsession = lazy (V.Api.create ~condopt:config.condopt ~scev f region) in
   let items = Ir.region_items f region in
   let item_pos = Hashtbl.create (max 16 (List.length items)) in
@@ -639,8 +638,15 @@ let run ?(config = default_config) (f : Ir.func) : int * stats =
       acc items
   in
   let all_regions = regions_of f.Ir.fbody [ Ir.Rtop ] in
-  (* innermost first: regions_of accumulates outer-to-inner, so reverse *)
+  (* innermost first: regions_of accumulates outer-to-inner, so reverse.
+     Only a region that formed a pack materializes and emits code; every
+     other region leaves the function, and so its SCEV, as it found it.
+     The SCEV is built at the start of a region, before any change. *)
+  let scev = ref (lazy (Scev.create f)) in
   List.iter
-    (fun region -> total := !total + run_region ~config f region stats)
+    (fun region ->
+      let formed = stats.packs_formed in
+      total := !total + run_region ~config ~scev:(Lazy.force !scev) f region stats;
+      if stats.packs_formed > formed then scev := lazy (Scev.create f))
     all_regions;
   (!total, stats)

@@ -187,6 +187,26 @@ let data_operands kind =
   | Call { args; _ } -> args
   | Vecbuild vs -> vs
 
+let rec exists_phi_operand p = function
+  | [] -> false
+  | (q, v) :: rest -> p v || Pred.exists_literal p q || exists_phi_operand p rest
+
+(* [exists_operand p kind]: does [p] hold for some data operand of
+   [kind] (the values [data_operands] lists)?  Allocation-free. *)
+let exists_operand p kind =
+  match kind with
+  | Const _ | Arg _ -> false
+  | Binop (_, a, b) | Cmp (_, a, b) -> p a || p b
+  | Cast (_, a) | Splat a | Extract (a, _) -> p a
+  | Select { cond; if_true; if_false } -> p cond || p if_true || p if_false
+  | Phi ops -> exists_phi_operand p ops
+  | Mu { init; recur; _ } -> p init || p recur
+  | Eta { value; _ } -> p value
+  | Load { addr } -> p addr
+  | Store { addr; value } -> p addr || p value
+  | Call { args; _ } -> List.exists p args
+  | Vecbuild vs -> List.exists p vs
+
 (* All values the instruction depends on unconditionally in order to be
    evaluated, including its execution predicate's literals. *)
 let all_operands i =
@@ -442,39 +462,43 @@ let replace_uses_in_inst f ~user ~old_v ~new_v =
   i.ipred <- Pred.rename subst i.ipred
 
 (* Replace uses of [old_v] by [new_v] everywhere, including loop guard /
-   continue predicates. *)
+   continue predicates.  Only real users are rewritten: a kind or
+   predicate that does not mention [old_v] is left physically as is. *)
 let replace_all_uses f ~old_v ~new_v =
+  let is_old v = v = old_v in
   let subst v = if v = old_v then new_v else v in
+  let rename_pred p =
+    if Pred.exists_literal is_old p then Pred.rename subst p else p
+  in
   Hashtbl.iter
     (fun _ i ->
       if i.id <> new_v then begin
-        i.kind <- rename_kind subst i.kind;
-        i.ipred <- Pred.rename subst i.ipred
+        if exists_operand is_old i.kind then i.kind <- rename_kind subst i.kind;
+        i.ipred <- rename_pred i.ipred
       end)
     f.arena;
   Hashtbl.iter
     (fun _ lp ->
-      lp.lpred <- Pred.rename subst lp.lpred;
-      lp.cont <- Pred.rename subst lp.cont)
+      lp.lpred <- rename_pred lp.lpred;
+      lp.cont <- rename_pred lp.cont)
     f.loop_arena
 
 (* Batched form of [replace_all_uses]: apply a whole substitution map in
    a single arena walk.  Callers like GVN accumulate hundreds of
    replacements, and one full walk per replacement is quadratic in the
    function size.  The map must be flat (no value in its domain appears
-   in its range).  Predicates are rebuilt only when one of their
-   literals is actually substituted. *)
+   in its range).  As above, kinds and predicates are rebuilt only when
+   one of their operands is actually substituted. *)
 let replace_uses_map f (map : (value_id, value_id) Hashtbl.t) =
   if Hashtbl.length map > 0 then begin
+    let mapped = Hashtbl.mem map in
     let subst v = Option.value ~default:v (Hashtbl.find_opt map v) in
     let rename_pred p =
-      if List.exists (Hashtbl.mem map) (Pred.literals p) then
-        Pred.rename subst p
-      else p
+      if Pred.exists_literal mapped p then Pred.rename subst p else p
     in
     Hashtbl.iter
       (fun _ i ->
-        i.kind <- rename_kind subst i.kind;
+        if exists_operand mapped i.kind then i.kind <- rename_kind subst i.kind;
         i.ipred <- rename_pred i.ipred)
       f.arena;
     Hashtbl.iter

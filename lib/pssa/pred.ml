@@ -332,6 +332,18 @@ let rec literals p =
       Hashtbl.add s.literals_memo p.pid r;
       r)
 
+(* Does [f] hold for some literal of the predicate?  A walk of the
+   structure: neither allocates nor touches the literals memo. *)
+let rec exists_literal f p =
+  match p.node with
+  | Ptrue | Pfalse -> false
+  | Plit { v; _ } -> f v
+  | Pand xs | Por xs -> exists_literal_list f xs
+
+and exists_literal_list f = function
+  | [] -> false
+  | x :: rest -> exists_literal f x || exists_literal_list f rest
+
 (* Evaluate under an environment giving the runtime boolean of each value. *)
 let rec eval lookup p =
   match p.node with

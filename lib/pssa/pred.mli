@@ -66,6 +66,10 @@ val implies : t -> t -> bool
 val literals : t -> value_id list
 (** Boolean SSA values mentioned, sorted, unique.  Memoized. *)
 
+val exists_literal : (value_id -> bool) -> t -> bool
+(** [exists_literal f p]: does [f] hold for some value [p] mentions?
+    Allocation-free. *)
+
 val eval : (value_id -> bool) -> t -> bool
 
 val rename : (value_id -> value_id) -> t -> t

@@ -10,22 +10,28 @@ type t =
   | List of t list
   | Assoc of (string * t) list
 
+(* Append the quoted, escaped literal to [buf], with no temporary string:
+   [to_string] writes every string of a reply through here. *)
+let add_escaped buf s =
+  Buffer.add_char buf '"';
+  for k = 0 to String.length s - 1 do
+    match s.[k] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf (if Char.code c < 0x10 then '0' else '1');
+      Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
+    | c -> Buffer.add_char buf c
+  done;
+  Buffer.add_char buf '"'
+
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+  add_escaped buf s;
   Buffer.contents buf
 
 (* JSON has no NaN/Infinity; also "%.17g" can print "1e+3" style
@@ -49,7 +55,7 @@ let to_string ?(minify = false) (j : t) : string =
     | Bool b -> Buffer.add_string buf (string_of_bool b)
     | Int n -> Buffer.add_string buf (string_of_int n)
     | Float x -> Buffer.add_string buf (float_repr x)
-    | String s -> Buffer.add_string buf (escape_string s)
+    | String s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->
       Buffer.add_char buf '[';
@@ -71,7 +77,7 @@ let to_string ?(minify = false) (j : t) : string =
         (fun k (key, v) ->
           if k > 0 then begin Buffer.add_char buf ','; nl () end;
           pad (depth + 1);
-          Buffer.add_string buf (escape_string key);
+          add_escaped buf key;
           Buffer.add_string buf (if minify then ":" else ": ");
           go (depth + 1) v)
         fields;

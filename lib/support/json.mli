@@ -25,6 +25,10 @@ val to_string : ?minify:bool -> t -> string
 val escape_string : string -> string
 (** ["…"]-quoted JSON string literal with control characters escaped. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped buf s] appends [escape_string s] to [buf] without
+    building the intermediate string. *)
+
 val float_repr : float -> string
 (** The float formatting [to_string] uses: integral floats as ["3.0"],
     NaN as ["null"], infinities as out-of-range exponents (["1e999"],

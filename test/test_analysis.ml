@@ -36,6 +36,71 @@ let prop_linexp_add_commutes =
       in
       Linexp.equal e1 e2)
 
+(* The hash-table normalizer [Linexp] used before [add]/[sub] became a
+   merge of sorted lists: the reference every operation must match. *)
+let ref_norm terms =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (v, k) ->
+      let cur = Option.value ~default:0 (Hashtbl.find_opt tbl v) in
+      Hashtbl.replace tbl v (cur + k))
+    terms;
+  Hashtbl.fold (fun v k acc -> if k = 0 then acc else (v, k) :: acc) tbl []
+  |> List.sort compare
+
+let test_linexp_matches_reference () =
+  let st = Random.State.make [| 0x11e4 |] in
+  (* few values and small coefficients: duplicates, zero coefficients
+     and cancellation between operands are all common *)
+  let rand_terms () =
+    List.init (Random.State.int st 7) (fun _ ->
+        (Random.State.int st 5, Random.State.int st 7 - 3))
+  in
+  let same what (terms, konst) e =
+    Alcotest.(check (list (pair int int))) (what ^ " terms") terms (Linexp.terms e);
+    Alcotest.(check int) (what ^ " konst") konst (Linexp.constant e)
+  in
+  let neg = List.map (fun (v, c) -> (v, -c)) in
+  let constant_diffs = ref 0 in
+  for _ = 1 to 3000 do
+    let raw = rand_terms () and ka = Random.State.int st 21 - 10 in
+    let a = Linexp.make raw ka in
+    same "make" (ref_norm raw, ka) a;
+    let ta = Linexp.terms a in
+    (* half the time b shares a's terms up to a small perturbation, so
+       a - b is often constant *)
+    let tb_raw =
+      if Random.State.bool st then rand_terms ()
+      else ta @ (if Random.State.bool st then [] else rand_terms ())
+    in
+    let kb = Random.State.int st 21 - 10 in
+    let b = Linexp.make tb_raw kb in
+    let tb = Linexp.terms b in
+    let k = Random.State.int st 7 - 3 in
+    same "add" (ref_norm (ta @ tb), ka + kb) (Linexp.add a b);
+    let ref_sub = ref_norm (ta @ neg tb) in
+    same "sub" (ref_sub, ka - kb) (Linexp.sub a b);
+    same "scale"
+      (ref_norm (List.map (fun (v, c) -> (v, c * k)) ta), ka * k)
+      (Linexp.scale k a);
+    let v = Random.State.int st 5 in
+    (match List.assoc_opt v ta with
+    | None -> same "subst (absent)" (ta, ka) (Linexp.subst v a b)
+    | Some c ->
+      same "subst"
+        ( ref_norm
+            (List.filter (fun (w, _) -> w <> v) ta
+            @ List.map (fun (w, d) -> (w, c * d)) tb),
+          ka + (c * kb) )
+        (Linexp.subst v a b));
+    let expected = if ref_sub = [] then Some (ka - kb) else None in
+    if expected <> None then incr constant_diffs;
+    Alcotest.(check (option int)) "diff iff sub has no terms" expected
+      (Linexp.diff a b)
+  done;
+  Alcotest.(check bool) "constant differences exercised" true
+    (!constant_diffs > 500)
+
 (* --------------------------------------------------------------- scev *)
 
 let sum_with_stride_src =
@@ -301,6 +366,8 @@ let suite =
   [
     Alcotest.test_case "linexp algebra" `Quick test_linexp_algebra;
     QCheck_alcotest.to_alcotest prop_linexp_add_commutes;
+    Alcotest.test_case "linexp merge matches hashtable reference" `Quick
+      test_linexp_matches_reference;
     Alcotest.test_case "scev affine + trip + ranges" `Quick test_scev_affine;
     Alcotest.test_case "scev promotion" `Quick test_scev_promote;
     Alcotest.test_case "scev descending promotion" `Quick test_descending_promote;

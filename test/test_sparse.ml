@@ -155,6 +155,120 @@ let test_hashcons_counters () =
   Alcotest.(check bool) "misses recorded" true (get "pred.hashcons_misses" > 0);
   Alcotest.(check bool) "hits recorded" true (get "pred.hashcons_hits" > 0)
 
+(* ---------------------------------------- use replacement, real users *)
+
+(* The rewrite-every-instruction forms of [Ir.replace_all_uses] and
+   [Ir.replace_uses_map]: the reference the real-user forms must print
+   identically to. *)
+let full_rename f subst ~skip =
+  Hashtbl.iter
+    (fun _ (i : Ir.inst) ->
+      if not (skip i.id) then begin
+        i.kind <- Ir.rename_kind subst i.kind;
+        i.ipred <- Pred.rename subst i.ipred
+      end)
+    f.Ir.arena;
+  Hashtbl.iter
+    (fun _ (lp : Ir.loop) ->
+      lp.lpred <- Pred.rename subst lp.lpred;
+      lp.cont <- Pred.rename subst lp.cont)
+    f.Ir.loop_arena
+
+let sorted_ids f = List.sort compare (Hashtbl.fold (fun v _ acc -> v :: acc) f.Ir.arena [])
+
+(* Values some instruction or loop predicate reads. *)
+let used_values f =
+  let used = Hashtbl.create 64 in
+  let mark v = Hashtbl.replace used v () in
+  Ir.iter_insts f (fun i ->
+      List.iter mark (Ir.data_operands i.Ir.kind);
+      List.iter mark (Pred.literals i.Ir.ipred));
+  Hashtbl.iter
+    (fun _ (lp : Ir.loop) ->
+      List.iter mark (Pred.literals lp.Ir.lpred);
+      List.iter mark (Pred.literals lp.Ir.cont))
+    f.Ir.loop_arena;
+  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) used [])
+
+(* A seeded set of replacements for [f]: [n] distinct used values, each
+   paired with a value outside that set (so the map is flat). *)
+let pick_replacements st f n =
+  let used = Array.of_list (used_values f) in
+  let olds =
+    List.sort_uniq compare
+      (List.init n (fun _ -> used.(Random.State.int st (Array.length used))))
+  in
+  let others = Array.of_list (List.filter (fun v -> not (List.mem v olds)) (sorted_ids f)) in
+  List.map (fun o -> (o, others.(Random.State.int st (Array.length others)))) olds
+
+(* Kinds and predicates of every instruction that reads none of [olds]
+   must come out of the rewrite physically unchanged. *)
+let check_untouched ~what f olds run =
+  let reads_old vs = List.exists (fun v -> List.mem v olds) vs in
+  let before =
+    List.map (fun v -> let i = Ir.inst f v in (i, i.Ir.kind, i.Ir.ipred)) (sorted_ids f)
+  in
+  run ();
+  List.iter
+    (fun ((i : Ir.inst), kind, pred) ->
+      if not (reads_old (Ir.data_operands kind)) then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %%%d kind kept" what i.id)
+          true (i.kind == kind);
+      if not (reads_old (Pred.literals pred)) then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %%%d predicate kept" what i.id)
+          true (i.ipred == pred))
+    before
+
+let test_replace_uses_real_users () =
+  let specs =
+    List.init 40 (fun seed -> (G.default_config, seed))
+    @ List.init 4 (fun seed ->
+          ({ G.default_config with G.size = 30; max_loop_depth = 3 }, seed))
+  in
+  List.iter
+    (fun (config, seed) ->
+      let src = G.render (G.generate ~config ~seed ()) in
+      (* the versioning pipeline adds gated phis and loop guards *)
+      let build () =
+        let f = Fgv_frontend.Lower_ast.compile src in
+        ignore (Fgv_passes.Pipelines.sv_versioning f);
+        f
+      in
+      let what = Printf.sprintf "fuzz seed %d" seed in
+      (* one replacement at a time *)
+      let f = build () in
+      let pairs = pick_replacements (Random.State.make [| seed |]) f 4 in
+      List.iter
+        (fun (old_v, new_v) ->
+          check_untouched ~what f [ old_v ] (fun () ->
+              Ir.replace_all_uses f ~old_v ~new_v))
+        pairs;
+      let got = Printer.to_string f in
+      let g = build () in
+      List.iter
+        (fun (old_v, new_v) ->
+          full_rename g
+            (fun v -> if v = old_v then new_v else v)
+            ~skip:(fun id -> id = new_v))
+        pairs;
+      Alcotest.(check string) (what ^ ": replace_all_uses") (Printer.to_string g) got;
+      (* the batched map *)
+      let f = build () in
+      let pairs = pick_replacements (Random.State.make [| seed; 1 |]) f 6 in
+      let map = Hashtbl.create 8 in
+      List.iter (fun (o, n) -> Hashtbl.replace map o n) pairs;
+      check_untouched ~what f (List.map fst pairs) (fun () ->
+          Ir.replace_uses_map f map);
+      let got = Printer.to_string f in
+      let g = build () in
+      full_rename g
+        (fun v -> Option.value ~default:v (Hashtbl.find_opt map v))
+        ~skip:(fun _ -> false);
+      Alcotest.(check string) (what ^ ": replace_uses_map") (Printer.to_string g) got)
+    specs
+
 (* ------------------------------------------------- jobs determinism *)
 
 let determinism_sources () =
@@ -216,4 +330,6 @@ let suite =
       test_hashcons_counters;
     Alcotest.test_case "pipeline deterministic at jobs 1 vs 4" `Quick
       test_jobs_determinism;
+    Alcotest.test_case "use replacement rewrites only real users" `Quick
+      test_replace_uses_real_users;
   ]

@@ -61,6 +61,50 @@ let test_digraph_cycle () =
   | exception Digraph.Cycle _ -> ()
   | _ -> Alcotest.fail "expected cycle detection"
 
+(* [Json.escape_string] as it was before it wrote into the caller's
+   buffer: the byte-for-byte reference for [add_escaped]. *)
+let ref_escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let test_json_escape_in_place () =
+  let module J = Fgv_support.Json in
+  let controls = String.init 0x20 Char.chr in
+  let strings =
+    [ ""; "plain"; controls; "\"\\\""; "a\"b\\c\nd"; "\x7f\xc3\xa9 tail" ]
+    @ List.init 0x20 (fun c -> Printf.sprintf "x%cy" (Char.chr c))
+  in
+  List.iter
+    (fun s ->
+      let expected = ref_escape s in
+      Alcotest.(check string) "escape_string" expected (J.escape_string s);
+      let buf = Buffer.create 4 in
+      Buffer.add_string buf "prefix:";
+      J.add_escaped buf s;
+      Alcotest.(check string) "add_escaped appends" ("prefix:" ^ expected)
+        (Buffer.contents buf);
+      Alcotest.(check string) "in documents"
+        ("{" ^ expected ^ ":" ^ expected ^ "}")
+        (J.to_string ~minify:true (J.Assoc [ (s, J.String s) ]));
+      match Harness.parse_json (J.escape_string s) with
+      | J.String back -> Alcotest.(check string) "round-trips" s back
+      | _ -> Alcotest.fail "not a string")
+    strings
+
 let suite =
   [
     Alcotest.test_case "disjoint set" `Quick test_disjoint_set;
@@ -68,4 +112,5 @@ let suite =
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "digraph reachability" `Quick test_digraph_reachability;
     Alcotest.test_case "digraph cycle detection" `Quick test_digraph_cycle;
+    Alcotest.test_case "json: in-place escaping" `Quick test_json_escape_in_place;
   ]
