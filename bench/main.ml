@@ -21,8 +21,9 @@
    Parallelism: each figure's kernel rows fan out across a domain pool
    (--jobs N, default POOL_JOBS or the core count).  Figures themselves
    run sequentially — that keeps the printed sections ordered and lets
-   Telemetry.capture attribute counters per figure (worker shards merge
-   into the main registry at each join, inside the capture).  Every
+   Telemetry.capture attribute counters per figure (the pool replays
+   its tasks' records into the main registry at each join, inside the
+   capture).  Every
    number in the tables and in the JSON (timings excluded) is identical
    at any job count; CI diffs --jobs 1 against --jobs 2 to pin that. *)
 
@@ -32,6 +33,7 @@ module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
 module J = Fgv_support.Json
 module H = Fgv_support.Histogram
+module Obs = Fgv_support.Obs
 module G = Fgv_fuzz.Generator
 open Fgv_pssa
 
@@ -340,7 +342,7 @@ type ct_row = {
   ct_minor_words : float;
   ct_counters : (string * int) list;
   ct_hists : (string * H.t) list;
-      (* per-timer latency histograms the row's isolated shard captured *)
+      (* per-timer latency histograms the row's record captured *)
 }
 
 (* A lane row: a program source plus the pipeline it is compiled with
@@ -402,12 +404,12 @@ let ct_client_specs () =
 
 let ct_run_row spec : ct_row =
   let src = Lazy.force spec.cs_source in
-  (* an isolated registry (not a [capture] delta): per-row counters must
+  (* a captured record (not a [Tm.capture] delta): per-row counters must
      not depend on what earlier rows left behind — a saturated running
      maximum would otherwise make the row's delta vary with the worker
      schedule *)
-  let (wall, words), shard =
-    Tm.isolated (fun () ->
+  let (wall, words), record =
+    Obs.capture (fun () ->
         let m0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let f =
@@ -417,10 +419,10 @@ let ct_run_row spec : ct_row =
         spec.cs_apply f;
         (Unix.gettimeofday () -. t0, Gc.minor_words () -. m0))
   in
-  Tm.merge_shard shard;
+  Obs.replay record;
   { ct_name = spec.cs_name; ct_wall_s = wall; ct_minor_words = words;
-    ct_counters = Tm.shard_counters shard;
-    ct_hists = Tm.shard_timer_histograms shard }
+    ct_counters = Obs.counters record;
+    ct_hists = Obs.timer_histograms record }
 
 let run_compiletime () =
   Tr.with_span ~cat:"figure" "compiletime" @@ fun () ->

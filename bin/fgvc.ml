@@ -59,7 +59,7 @@ let print_stats stats =
   match stats with
   | None -> 0
   | Some "json" ->
-    print_endline (Tm.json_to_string (Tm.snapshot ()));
+    print_endline (Fgv_support.Json.to_string (Tm.snapshot ()));
     0
   | Some "text" ->
     print_string (Tm.report ());
@@ -149,7 +149,7 @@ let run_fuzz n seed pipeline report_file stats jobs native finalize =
   let outcome = F.Campaign.run ~native ~pipelines ~jobs ~n ~seed () in
   let report = F.Campaign.report_json outcome in
   let oc = open_out report_file in
-  output_string oc (Tm.json_to_string report);
+  output_string oc (Fgv_support.Json.to_string report);
   output_char oc '\n';
   close_out oc;
   (match outcome.F.Campaign.c_failure with

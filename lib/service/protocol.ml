@@ -81,7 +81,7 @@ let encode_request (r : request) : J.t =
    optimized PSSA, the optimization-remark stream the compile emitted
    (as the same flat objects [--remarks=json] prints), the checked-mode
    C when requested, and the per-compile telemetry counter snapshot
-   (recorded against an isolated registry, so it is a pure function of
+   (recorded under the compile's own capture, so it is a pure function of
    the request).  Every field is deterministic — no wall-clock anywhere
    — which is what makes cached replies byte-identical to fresh ones. *)
 type artifact = {

@@ -7,9 +7,11 @@
    stream is identical at any [--jobs] count and whatever the cache has
    absorbed, because
 
-   - each compile runs against an isolated telemetry registry and a
-     remark collector, so artifacts are pure functions of the request;
-   - worker shards are merged back in request order, never join order;
+   - each compile runs under one {!Obs.capture} and collects its own
+     remarks, so artifacts are pure functions of the request;
+   - the coordinator replays the compiles' records in request order,
+     never join order, so counters and trace spans land as if every
+     compile had run inline;
    - cache recency/eviction is driven only from the coordinating domain,
      in request order;
    - responses carry no cache metadata and no timestamps.
@@ -24,6 +26,7 @@
 module J = Fgv_support.Json
 module Tm = Fgv_support.Telemetry
 module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
 module H = Fgv_support.Histogram
 module Ev = Fgv_support.Eventlog
 module Pool = Fgv_support.Pool
@@ -125,12 +128,12 @@ let package_artifact (rq : P.request) (f : Fgv_pssa.Ir.func) :
           }))
 
 (* One cold whole-source compile: frontend, pipeline, verifier, optional
-   C lowering.  Runs inside a pool worker under an isolated telemetry
-   registry, so the counter snapshot it returns is exactly this
-   compile's.  Remarks are collected rather than streamed: they belong
-   to the artifact.  Used when the source does not split into kernel
-   units (it does not lex/parse), so the request's own error comes from
-   the same frontend path it always did. *)
+   C lowering.  Runs inside a pool worker under its own capture, so the
+   counters its artifact carries are exactly this compile's.  Remarks
+   are collected rather than streamed: they belong to the artifact.
+   Used when the source does not split into kernel units (it does not
+   lex/parse), so the request's own error comes from the same frontend
+   path it always did. *)
 let compile_artifact (rq : P.request) : (P.artifact, string) result =
   match
     (if rq.rq_no_restrict then Lower_ast.compile_no_restrict
@@ -258,12 +261,13 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
               units))
       keyed
   in
-  (* Compile the distinct misses in parallel, each against an isolated
-     telemetry registry; merge shards back in request order so the
-     global counters are deterministic at any job count.  Each compile
-     is a trace span carrying its request seq, and its wall seconds
-     ride back with the result for the access log (a coalesced
-     duplicate shares the one compile's duration). *)
+  (* Compile the distinct misses in parallel, each under one capture
+     that holds its trace span (carrying the request seq) and every
+     pipeline span inside it; replay the records in request order so
+     the global counters and the trace are deterministic at any job
+     count.  Each compile's wall seconds ride back with the result for
+     the access log (a coalesced duplicate shares the one compile's
+     duration). *)
   let fresh = Hashtbl.create 16 in
   (match List.rev !pending with
   | [] -> ()
@@ -272,13 +276,13 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
       Pool.map ~jobs:t.jobs
         (fun (rq, u, key, sq) ->
           let t0 = Unix.gettimeofday () in
-          let result, shard =
-            Tr.with_span ~cat:"service"
-              ~args:
-                [ ("seq", J.Int sq); ("pipeline", J.String rq.P.rq_pipeline) ]
-              "service.compile"
-              (fun () ->
-                Tm.isolated (fun () ->
+          let result, record =
+            Obs.capture (fun () ->
+                Tr.with_span ~cat:"service"
+                  ~args:
+                    [ ("seq", J.Int sq); ("pipeline", J.String rq.P.rq_pipeline) ]
+                  "service.compile"
+                  (fun () ->
                     Tm.incr "service.compiles";
                     match u with
                     | Uwhole -> compile_artifact rq
@@ -286,15 +290,15 @@ let handle_batch (t : t) (reqs : P.request list) : P.response list =
           in
           let result =
             Result.map
-              (fun a -> { a with P.ar_counters = Tm.shard_counters shard })
+              (fun a -> { a with P.ar_counters = Obs.counters record })
               result
           in
-          (key, result, shard, Unix.gettimeofday () -. t0))
+          (key, result, record, Unix.gettimeofday () -. t0))
         pending
     in
     List.iter
-      (fun (key, result, shard, dur) ->
-        Tm.merge_shard shard;
+      (fun (key, result, record, dur) ->
+        Obs.replay record;
         Hashtbl.replace fresh key (result, dur);
         match result with
         | Ok a -> Cache.insert t.cache key a

@@ -39,9 +39,6 @@ type t = {
 let create () =
   { counts = Array.make n_buckets 0; total = 0; ext = Float.Array.make 2 nan }
 
-let copy h =
-  { counts = Array.copy h.counts; total = h.total; ext = Float.Array.copy h.ext }
-
 let min_sample h = Float.Array.get h.ext 0
 let max_sample h = Float.Array.get h.ext 1
 
@@ -160,61 +157,3 @@ let to_json h =
                Json.Assoc [ ("lo", Float lo); ("hi", Float hi); ("count", Int c) ])
              (buckets h)) );
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Named registry, Domain.DLS-sharded like Telemetry.                 *)
-
-type registry = (string, t) Hashtbl.t
-
-let registry_key : registry Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let registry () = Domain.DLS.get registry_key
-
-let observe name v =
-  let reg = registry () in
-  (* [find], not [find_opt]: the option would be the one allocation *)
-  let h =
-    match Hashtbl.find reg name with
-    | h -> h
-    | exception Not_found ->
-      let h = create () in
-      Hashtbl.add reg name h;
-      h
-  in
-  record h v
-
-let named () =
-  Hashtbl.fold (fun name h acc -> (name, h) :: acc) (registry ()) []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let find name = Hashtbl.find_opt (registry ()) name
-let reset () = Hashtbl.reset (registry ())
-
-type shard = (string * t) list
-
-let empty_shard : shard = []
-let shard_is_empty s = s = []
-
-let isolated f =
-  let saved = registry () in
-  let fresh : registry = Hashtbl.create 16 in
-  Domain.DLS.set registry_key fresh;
-  Fun.protect
-    ~finally:(fun () -> Domain.DLS.set registry_key saved)
-    (fun () ->
-      let r = f () in
-      let shard =
-        Hashtbl.fold (fun name h acc -> (name, copy h) :: acc) fresh []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      (r, shard))
-
-let merge_shard (s : shard) =
-  let reg = registry () in
-  List.iter
-    (fun (name, h) ->
-      match Hashtbl.find_opt reg name with
-      | Some into -> merge_into ~into h
-      | None -> Hashtbl.add reg name (copy h))
-    s

@@ -12,16 +12,14 @@
 
    Determinism: the results array is indexed by input position and each
    cell is written by exactly one worker, so the output order never
-   depends on the schedule.  Telemetry determinism is the shards'
-   problem (see telemetry.mli); the pool's only job is to hand every
-   worker's shard to [Telemetry.merge_joined] at join.
-
-   Tracing: when {!Trace.active} (spans or remarks enabled), each TASK
-   runs under [Trace.isolated] and the per-task shards are replayed in
-   input index order at the join — per task, not per worker, because
-   work stealing makes the worker→index assignment schedule-dependent
-   while the index order is not.  The remark stream is therefore
-   byte-identical at any job count; span timestamps stay wall-clock. *)
+   depends on the schedule.  Observations follow the same rule: each
+   TASK runs under [Obs.capture] (inheriting the caller's scopes and
+   remark force) and the records are replayed in input index order at
+   the join — per task, not per worker, because work stealing makes the
+   worker→index assignment schedule-dependent while the index order is
+   not.  Replaying in order is recording directly (see obs.ml), so
+   counters, remarks and span nesting match the inline [~jobs:1] run;
+   only wall-clock timings differ. *)
 
 exception Nested_map
 
@@ -70,45 +68,39 @@ let steal_back (s : slice) =
 
 (* ---------------------------------------------------------------- map *)
 
-let run_task f (tasks : 'a array) (results : ('b, exn) result option array)
-    (trace_shards : Trace.shard array) i =
-  if Trace.active () then begin
-    let r, shard =
-      Trace.isolated (fun () ->
-          match f tasks.(i) with v -> Ok v | exception e -> Error e)
-    in
-    (* each index is written by exactly one worker: no lock needed *)
-    results.(i) <- Some r;
-    trace_shards.(i) <- shard
-  end
-  else
-    results.(i) <-
-      Some (match f tasks.(i) with v -> Ok v | exception e -> Error e)
+let run_task f (tasks : 'a array) results ctx i =
+  (* each index is written by exactly one worker: no lock needed *)
+  results.(i) <-
+    Some
+      (Obs.capture ~within:ctx (fun () ->
+           match f tasks.(i) with v -> Ok v | exception e -> Error e))
 
-let worker f tasks results trace_shards (slices : slice array) (w : int) () =
+let worker f tasks results ctx (slices : slice array) (w : int) () =
   Domain.DLS.set in_task_key true;
   let jobs = Array.length slices in
   let rec own () =
     match take_front slices.(w) with
     | Some i ->
-      run_task f tasks results trace_shards i;
+      run_task f tasks results ctx i;
       own ()
     | None -> steal 1
   and steal k =
     if k < jobs then
       match steal_back slices.((w + k) mod jobs) with
       | Some i ->
-        run_task f tasks results trace_shards i;
+        run_task f tasks results ctx i;
         own () (* the victim may still be full; re-prefer our slice *)
       | None -> steal (k + 1)
   in
-  own ();
-  Telemetry.shard_of_current ()
+  own ()
 
-let collect n (results : ('b, exn) result option array) =
+(* Replay each task's observations in input order and return its result. *)
+let collect n (results : (('b, exn) result * Obs.record) option array) =
   List.init n (fun i ->
       match results.(i) with
-      | Some r -> r
+      | Some (r, record) ->
+        Obs.replay record;
+        r
       | None -> Error (Failure "Pool: task never ran (pool bug)"))
 
 let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
@@ -122,7 +114,7 @@ let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
   else if jobs = 1 then begin
     (* inline: same task semantics (including nested-map rejection, which
        surfaces as a captured task error exactly as in a worker), no
-       domains, telemetry recorded directly into the caller's registry *)
+       domains, observations recorded directly into the caller's state *)
     Domain.DLS.set in_task_key true;
     let results =
       List.map
@@ -133,20 +125,17 @@ let try_map ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
     results
   end
   else begin
-    let results : ('b, exn) result option array = Array.make n None in
-    let trace_shards = Array.make n Trace.empty_shard in
+    let results = Array.make n None in
+    let ctx = Obs.cur () in
     let slices =
       Array.init jobs (fun w ->
           { lock = Mutex.create (); lo = w * n / jobs; hi = (w + 1) * n / jobs })
     in
     let domains =
       Array.init jobs (fun w ->
-          Domain.spawn (worker f tasks results trace_shards slices w))
+          Domain.spawn (worker f tasks results ctx slices w))
     in
-    let shards = Array.to_list (Array.map Domain.join domains) in
-    Telemetry.merge_joined shards;
-    (* trace events replay in input order: deterministic remark stream *)
-    Array.iter Trace.merge_shard trace_shards;
+    Array.iter Domain.join domains;
     collect n results
   end
 

@@ -16,12 +16,14 @@
       [result]s; {!map} re-raises the lowest-index exception after all
       tasks have finished — the same exception a sequential
       left-to-right run would have surfaced first.
-    - {b Telemetry}: each worker domain records into its own
-      {!Telemetry} shard; at join the shards are folded into the
-      calling domain's registry ({!Telemetry.merge_joined}: counters
-      summed, timer totals maxed, timer counts summed).  A
-      [Telemetry.capture] around a [map] therefore sees every counter
-      the tasks bumped, at any job count.
+    - {b Observations}: at [jobs > 1] each task runs under
+      {!Obs.capture} and the records are replayed into the calling
+      domain's state in input index order ({!Obs.replay}: counters
+      summed, timer totals and counts summed, spans and remarks
+      appended); at [~jobs:1] tasks record directly.  Either way the
+      caller sees the same counters and remark stream, so a
+      [Telemetry.capture] around a [map] sees every counter the tasks
+      bumped, at any job count.
     - {b No nesting}: calling [map]/[try_map] from inside a pool task
       raises {!Nested_map} at any job count (also at [~jobs:1], so a
       sequential run cannot silently accept a structure that would

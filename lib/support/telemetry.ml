@@ -1,151 +1,75 @@
-(* Per-domain telemetry registry.  See the interface for the contract;
-   the implementation notes here are about the few non-obvious choices:
+(* Counters, timers and scopes over the {!Obs} state.  See the interface
+   for the contract; the implementation notes here are about the few
+   non-obvious choices:
 
    - counters and timers live in separate hashtables keyed by their
      fully qualified name, so [reset] is two [Hashtbl.reset]s;
-   - the scope stack is a plain mutable list of prefixes; qualification
-     happens at record time, so a counter bumped under two different
-     scopes is two distinct registry entries;
-   - the whole registry is domain-local (one shard per domain, allocated
-     on first use through [Domain.DLS]), so recording never takes a
-     lock: a pool worker writes only its own shard, and the shards are
-     folded into the spawning domain's registry when the workers join
-     ({!merge_joined}).  Single-domain programs see exactly the old
-     process-global behaviour, because the main domain's shard *is* the
-     registry;
-   - JSON documents are built with the shared {!Json} module (the
-     emitter used to live here and was extracted). *)
+   - the scope stack is a plain list of prefixes; qualification happens
+     at record time, so a counter bumped under two different scopes is
+     two distinct entries;
+   - isolation and merging are {!Obs.capture}/{!Obs.replay}: this
+     module keeps no state of its own. *)
 
-(* Re-exported with constructors so legacy [Telemetry.Assoc]-style users
-   keep compiling; new code should use {!Json} directly. *)
-type json = Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Assoc of (string * json) list
-
-let json_to_string = Json.to_string
-
-(* ----------------------------------------------------------- registry *)
-
-(* Each timer carries a latency histogram alongside the running total,
-   so every *.time key has distribution data, not just a mean.  The
-   histogram is mutated by the owning domain only (the registry is
-   domain-local) and crosses domains exclusively as copies inside
-   shards. *)
-type timer = {
-  mutable total : float;
-  mutable count : int;
-  hist : Histogram.t;
-}
-
-type registry = {
-  counter_tbl : (string, int ref) Hashtbl.t;
-  timer_tbl : (string, timer) Hashtbl.t;
-  mutable scope_stack : string list; (* innermost first *)
-}
-
-let fresh_registry () =
-  {
-    counter_tbl = Hashtbl.create 64;
-    timer_tbl = Hashtbl.create 16;
-    scope_stack = [];
-  }
-
-(* One registry per domain.  The key's initializer runs lazily the first
-   time a domain records anything, so every spawned worker starts with
-   an empty shard and the main domain keeps its registry for the whole
-   process lifetime. *)
-let registry_key : registry Domain.DLS.key =
-  Domain.DLS.new_key fresh_registry
-
-let cur () = Domain.DLS.get registry_key
-
-let qualify reg name =
-  match reg.scope_stack with
+let qualify (st : Obs.state) name =
+  match st.scopes with
   | [] -> name
   | stack -> String.concat "." (List.rev stack) ^ "." ^ name
 
-let counter_ref reg qname =
-  match Hashtbl.find_opt reg.counter_tbl qname with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace reg.counter_tbl qname r;
-    r
-
 let incr ?(by = 1) name =
-  let reg = cur () in
-  let r = counter_ref reg (qualify reg name) in
+  let st = Obs.cur () in
+  let r = Obs.counter_ref st (qualify st name) in
   r := !r + by
 
 let set_max name v =
-  let reg = cur () in
-  let r = counter_ref reg (qualify reg name) in
+  let st = Obs.cur () in
+  let r = Obs.counter_ref st (qualify st name) in
   if v > !r then r := v
 
 let get name =
-  match Hashtbl.find_opt (cur ()).counter_tbl name with
+  match Hashtbl.find_opt (Obs.cur ()).counters name with
   | Some r -> !r
   | None -> 0
 
-let counters () =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) (cur ()).counter_tbl []
-  |> List.sort compare
+let counters () = Obs.counters (Obs.cur ())
 
-let timer_cell reg qname =
-  match Hashtbl.find_opt reg.timer_tbl qname with
-  | Some t -> t
-  | None ->
-    let t = { total = 0.0; count = 0; hist = Histogram.create () } in
-    Hashtbl.replace reg.timer_tbl qname t;
-    t
-
-let record_time reg qname dt =
-  let t = timer_cell reg qname in
+let record_time st qname dt =
+  let t = Obs.timer_cell st qname in
   t.total <- t.total +. dt;
   t.count <- t.count + 1;
   Histogram.record t.hist dt
 
 let time name f =
-  let reg = cur () in
-  let qname = qualify reg name in
+  let qname = qualify (Obs.cur ()) name in
   let start = Unix.gettimeofday () in
   match f () with
   | result ->
-    record_time (cur ()) qname (Unix.gettimeofday () -. start);
+    record_time (Obs.cur ()) qname (Unix.gettimeofday () -. start);
     result
   | exception e ->
-    record_time (cur ()) qname (Unix.gettimeofday () -. start);
+    record_time (Obs.cur ()) qname (Unix.gettimeofday () -. start);
     raise e
 
 let timer_total name =
-  match Hashtbl.find_opt (cur ()).timer_tbl name with
+  match Hashtbl.find_opt (Obs.cur ()).timers name with
   | Some t -> t.total
   | None -> 0.0
 
 let timers () =
-  Hashtbl.fold
-    (fun name t acc -> (name, t.total, t.count) :: acc)
-    (cur ()).timer_tbl []
-  |> List.sort compare
+  List.map
+    (fun (name, (t : Obs.timer)) -> (name, t.total, t.count))
+    (Obs.sorted (Obs.cur ()).timers Fun.id)
 
 let with_scope name f =
   (* time under the *enclosing* qualification, then push for the body *)
-  let reg = cur () in
-  let qname = qualify reg name in
+  let st = Obs.cur () in
+  let qname = qualify st name in
   let start = Unix.gettimeofday () in
-  reg.scope_stack <- name :: reg.scope_stack;
+  st.scopes <- name :: st.scopes;
   let finish () =
-    (* re-fetch: an [isolated] inside the scope swapped registries *)
-    let reg = cur () in
-    (match reg.scope_stack with
-    | s :: rest when s == name -> reg.scope_stack <- rest
+    (match st.scopes with
+    | s :: rest when s == name -> st.scopes <- rest
     | _ -> () (* a reset inside the scope cleared the stack: fine *));
-    record_time reg qname (Unix.gettimeofday () -. start)
+    record_time st qname (Unix.gettimeofday () -. start)
   in
   match f () with
   | result ->
@@ -156,38 +80,29 @@ let with_scope name f =
     raise e
 
 let reset () =
-  let reg = cur () in
-  Hashtbl.reset reg.counter_tbl;
-  Hashtbl.reset reg.timer_tbl;
-  reg.scope_stack <- []
+  let st = Obs.cur () in
+  Hashtbl.reset st.counters;
+  Hashtbl.reset st.timers;
+  st.scopes <- []
 
-let snapshot_of_registry reg : json =
-  let cs =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) reg.counter_tbl []
-    |> List.sort compare
-  in
-  let ts =
-    Hashtbl.fold (fun name t acc -> (name, t) :: acc) reg.timer_tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  Assoc
+let snapshot () : Json.t =
+  let st = Obs.cur () in
+  Json.Assoc
     [
-      ("counters", Assoc (List.map (fun (n, v) -> (n, Int v)) cs));
+      ("counters", Assoc (List.map (fun (n, v) -> (n, Json.Int v)) (counters ())));
       ( "timers",
         Assoc
           (List.map
-             (fun (n, t) ->
+             (fun (n, (t : Obs.timer)) ->
                ( n,
-                 Assoc
+                 Json.Assoc
                    [
                      ("total_s", Float t.total);
                      ("count", Int t.count);
                      ("histogram", Histogram.to_json t.hist);
                    ] ))
-             ts) );
+             (Obs.sorted st.timers Fun.id)) );
     ]
-
-let snapshot () : json = snapshot_of_registry (cur ())
 
 let capture f =
   let before = counters () in
@@ -203,115 +118,14 @@ let capture f =
   in
   (result, delta)
 
-(* ------------------------------------------------------------- shards *)
+type shard = Obs.record
 
-(* A shard is an immutable snapshot of a registry: what one task or one
-   pool worker recorded.  Shards cross domains by value, so merging
-   never aliases live hashtables between domains. *)
-type shard = {
-  s_counters : (string * int) list;
-  s_timers : (string * float * int * Histogram.t) list;
-      (* histograms are copies: the shard owns them outright *)
-}
-
-let shard_of_registry reg : shard =
-  {
-    s_counters =
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) reg.counter_tbl []
-      |> List.sort compare;
-    s_timers =
-      Hashtbl.fold
-        (fun name t acc ->
-          (name, t.total, t.count, Histogram.copy t.hist) :: acc)
-        reg.timer_tbl []
-      |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b);
-  }
-
-let shard_of_current () = shard_of_registry (cur ())
-
-let empty_shard = { s_counters = []; s_timers = [] }
-
-let shard_is_empty s = s.s_counters = [] && s.s_timers = []
-
-let shard_counters s = s.s_counters
-
-let shard_timers s =
-  List.map (fun (name, total, count, _) -> (name, total, count)) s.s_timers
-
-let shard_timer_histograms s =
-  List.map (fun (name, _, _, h) -> (name, h)) s.s_timers
+let shard_counters = Obs.counters
 
 let isolated f =
-  let saved = cur () in
-  Domain.DLS.set registry_key (fresh_registry ());
-  match f () with
-  | result ->
-    let shard = shard_of_current () in
-    Domain.DLS.set registry_key saved;
-    (result, shard)
-  | exception e ->
-    Domain.DLS.set registry_key saved;
-    raise e
-
-(* [set_max] counters — base name starting with "max_" — hold a maximum,
-   not a sum: merging two shards (or a shard into a registry) must take
-   the larger value, or parallel runs would report inflated "maxima". *)
-let is_max_counter name =
-  let base =
-    match String.rindex_opt name '.' with
-    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-    | None -> name
-  in
-  String.length base >= 4 && String.sub base 0 4 = "max_"
-
-let merge_counter reg (name, v) =
-  let r = counter_ref reg name in
-  if is_max_counter name then (if v > !r then r := v) else r := !r + v
-
-let merge_shard (s : shard) =
-  let reg = cur () in
-  List.iter (merge_counter reg) s.s_counters;
-  List.iter
-    (fun (name, total, count, hist) ->
-      let t = timer_cell reg name in
-      t.total <- t.total +. total;
-      t.count <- t.count + count;
-      Histogram.merge_into ~into:t.hist hist)
-    s.s_timers
-
-let merge_joined (shards : shard list) =
-  (* Parallel-join semantics: the shards ran concurrently, so counters
-     sum (work is work) but a timer's contribution to the parent is the
-     *maximum* shard total — the critical path — while invocation
-     counts still sum.  Summing totals across workers would report more
-     seconds than the join took on the wall clock. *)
-  let reg = cur () in
-  List.iter (fun s -> List.iter (merge_counter reg) s.s_counters) shards;
-  (* Histograms sum even here: each sample is one real invocation, so
-     the distribution aggregates across workers — only the scalar
-     total takes the critical-path maximum. *)
-  let maxima : (string, float * int * Histogram.t) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (name, total, count, hist) ->
-          match Hashtbl.find_opt maxima name with
-          | Some (mx, cnt, h) ->
-            Histogram.merge_into ~into:h hist;
-            Hashtbl.replace maxima name (Float.max mx total, cnt + count, h)
-          | None ->
-            Hashtbl.replace maxima name (total, count, Histogram.copy hist))
-        s.s_timers)
-    shards;
-  Hashtbl.iter
-    (fun name (mx, count, hist) ->
-      let t = timer_cell reg name in
-      t.total <- t.total +. mx;
-      t.count <- t.count + count;
-      Histogram.merge_into ~into:t.hist hist)
-    maxima
+  let v, r = Obs.capture f in
+  Obs.replay { r with counters = Hashtbl.create 1; timers = Hashtbl.create 1 };
+  (v, r)
 
 let report () =
   let buf = Buffer.create 256 in

@@ -1,40 +1,22 @@
 (** Framework telemetry: named counters, wall-clock timers, and
-    per-phase scopes.
+    per-phase scopes — a view onto the {!Obs} state.
 
-    The registry is a per-domain singleton: passes and the versioning
-    framework bump counters unconditionally (increments are a hashtable
-    update, cheap next to any analysis they instrument), and entry points
-    decide whether to report.  Sessions that need isolated numbers (the
-    benchmark harness, golden tests) call {!reset} between runs, or use
-    {!capture} to measure the counter delta of one thunk.
+    Passes and the versioning framework bump counters unconditionally
+    (increments are a hashtable update, cheap next to any analysis they
+    instrument), and entry points decide whether to report.  Sessions
+    that need isolated numbers (the benchmark harness, golden tests)
+    call {!reset} between runs, or use {!capture} to measure the
+    counter delta of one thunk.
 
     Concurrency contract: every recording function touches only the
-    calling domain's shard, so no operation here ever takes a lock and
-    parallel tasks never contend.  A single-domain program behaves
-    exactly as if the registry were process-global.  {!Pool} workers
-    accumulate into their own shards and the pool folds them into the
-    spawning domain's registry when the workers join ({!merge_joined}:
-    counters summed, timer totals maxed across workers, timer counts
-    summed), so a {!capture} wrapped around a [Pool.map] still observes
-    every counter the tasks bumped.  For per-task attribution (e.g. the
-    fuzz campaign's deterministic replay of a parallel prefix), wrap the
-    task body in {!isolated} and re-apply the returned shards in any
-    order you like with {!merge_shard}. *)
-
-(** Deprecated alias for {!Json.t}, re-exported with constructors so
-    existing [Telemetry.Assoc]-style call sites keep compiling.  New
-    code should use {!Json} directly. *)
-type json = Json.t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of json list
-  | Assoc of (string * json) list
-
-val json_to_string : ?minify:bool -> json -> string
-(** Deprecated alias for {!Json.to_string}. *)
+    calling domain's {!Obs} state, so no operation here ever takes a
+    lock and parallel tasks never contend.  A single-domain program
+    behaves exactly as if the registry were process-global.  {!Pool}
+    captures each task ({!Obs.capture}) and replays the records in
+    input order at the join ({!Obs.replay}), so a {!capture} wrapped
+    around a [Pool.map] observes every counter the tasks bumped, and
+    timer totals are the sum of the tasks' durations at any job
+    count. *)
 
 (** {1 Counters} *)
 
@@ -45,8 +27,8 @@ val incr : ?by:int -> string -> unit
 val set_max : string -> int -> unit
 (** Raise the named counter to [v] if it is currently lower (running
     maxima, e.g. recursion depths).  The counter's base name must start
-    with ["max_"]: shard merges combine such counters by maximum rather
-    than by sum, so parallel runs report the same value as sequential
+    with ["max_"]: {!Obs.replay} combines such counters by maximum
+    rather than by sum, so parallel runs report the same value as sequential
     ones. *)
 
 val get : string -> int
@@ -82,7 +64,7 @@ val reset : unit -> unit
 (** Drop every counter, timer, and open-scope qualifier: the next
     session starts from an empty registry. *)
 
-val snapshot : unit -> json
+val snapshot : unit -> Json.t
 (** The whole registry as [{"counters": {...}, "timers": {...}}], keys
     sorted; timers as [{"total_s": float, "count": int, "histogram":
     {...}}] — the histogram member is {!Histogram.to_json} of every
@@ -92,62 +74,26 @@ val snapshot : unit -> json
 
 val capture : (unit -> 'a) -> 'a * (string * int) list
 (** Run the thunk and return the counter *delta* it caused (counters
-    whose value changed, sorted by name).  Does not reset the registry;
-    nesting captures is fine. *)
+    whose value changed, sorted by name).  Unlike {!Obs.capture} it
+    diverts nothing: the thunk records into the registry as usual, and
+    nesting is fine. *)
 
-(** {1 Shards}
+(** {1 Isolation}
 
-    A shard is an immutable snapshot of one registry — what one task or
-    one pool worker recorded.  Shards are plain data and may safely
-    cross domains. *)
+    New code isolates with {!Obs.capture} and {!Obs.replay}; these two
+    names are kept for the benchmark harness under [perfbench/]. *)
 
-type shard
-
-val empty_shard : shard
-
-val shard_is_empty : shard -> bool
+type shard = Obs.record
 
 val shard_counters : shard -> (string * int) list
 (** The shard's counters, sorted by fully qualified name. *)
 
-val shard_timers : shard -> (string * float * int) list
-(** The shard's timers as (name, total seconds, invocations), sorted
-    by fully qualified name. *)
-
-val shard_timer_histograms : shard -> (string * Histogram.t) list
-(** The per-timer latency histograms the shard captured, sorted by
-    name.  The histograms are owned by the shard (copies taken when it
-    was snapshotted) — callers may read or merge them freely; the
-    bench harness uses this to attach per-row time distributions. *)
-
-val shard_of_current : unit -> shard
-(** Snapshot the calling domain's registry (without clearing it). *)
-
 val isolated : (unit -> 'a) -> 'a * shard
-(** Run the thunk against a fresh, empty registry and return everything
-    it recorded as a shard; the calling domain's registry is untouched
-    and restored afterwards (also on exceptions, in which case the
-    shard is discarded and the exception re-raised). *)
-
-val merge_shard : shard -> unit
-(** Fold one shard into the calling domain's registry: counters summed
-    (["max_"]-based counters combined by maximum), timer totals and
-    counts summed, timer histograms merged ({!Histogram.merge_into}) —
-    i.e. as if the shard's work had been recorded here sequentially.
-    Use this to replay {!isolated} task shards in a deterministic
-    order. *)
-
-val merge_joined : shard list -> unit
-(** Fold the shards of a parallel join into the calling domain's
-    registry: counters summed (["max_"]-based counters combined by
-    maximum); for each timer, the *maximum* total
-    across the shards (the critical path of the slowest worker) is
-    added once, while invocation counts sum and histograms merge
-    across all workers (every sample is one real invocation, so the
-    distribution aggregates even though the total does not).
-    {!Pool.map} calls this
-    with its workers' shards, so timer totals under [--jobs N]
-    approximate wall-clock rather than aggregate CPU time. *)
+(** Run the thunk with its counters and timers diverted into the
+    returned shard; its spans and remarks still reach the caller.  It is
+    {!Obs.capture} followed by replaying the record minus its counters
+    and timers.  On an exception everything the thunk recorded is
+    dropped and the exception re-raised. *)
 
 val report : unit -> string
 (** Human-readable table of counters and timers (for [--stats]). *)

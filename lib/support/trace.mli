@@ -12,13 +12,13 @@
     unconditionally and entry points opt in ([fgvc --trace/--remarks],
     [bench --trace]).
 
-    Concurrency contract (same shape as {!Telemetry}): recording writes
-    only the calling domain's buffer (a [Domain.DLS] shard), never a
-    lock.  {!Pool.map} captures each {e task}'s events with {!isolated}
-    and replays the shards in {e input index order} at the join, so the
-    remark stream is byte-identical at any [--jobs] count; span
-    timestamps are wall-clock and therefore not deterministic, but their
-    per-domain nesting always is. *)
+    Both buffers are fields of the {!Obs} state, so the concurrency
+    contract is {!Telemetry}'s: recording writes only the calling
+    domain's state, never a lock.  {!Pool.map} captures each {e task}
+    ({!Obs.capture}) and replays the records in {e input index order}
+    at the join, so the remark stream is byte-identical at any [--jobs]
+    count; span timestamps are wall-clock and therefore not
+    deterministic, but their per-domain nesting always is. *)
 
 (** {1 Enablement} *)
 
@@ -26,9 +26,6 @@ val set_spans : bool -> unit
 val set_remarks : bool -> unit
 val spans_on : unit -> bool
 val remarks_on : unit -> bool
-
-val active : unit -> bool
-(** Either stream enabled — gate for per-task capture in {!Pool}. *)
 
 val remarks_recording : unit -> bool
 (** Remarks are being recorded {e on this domain}: either the global
@@ -49,7 +46,7 @@ val with_span :
 
 (** Where a decision happened: the function, optionally the loop
     (region) and the anchor instruction's printed name. *)
-type anchor = {
+type anchor = Obs.Remark.anchor = {
   a_func : string;
   a_loop : int option;
   a_value : string option;
@@ -60,7 +57,7 @@ val anchor : ?loop:int -> ?value:string -> string -> anchor
 (** The remark taxonomy (DESIGN §11).  Every variant is a decision the
     paper's framework takes, not a counter: counters stay in
     {!Telemetry}. *)
-type remark =
+type remark = Obs.Remark.remark =
   | Versioned of { nodes : int; conds : int; phis : int }
       (** a plan was materialized: [nodes] cloned under [conds]
           run-time conditions, joined by [phis] versioning phis *)
@@ -156,30 +153,12 @@ val reset : unit -> unit
 (** Drop the calling domain's span and remark buffers (enablement flags
     are untouched). *)
 
-(** {1 Shards}
-
-    An ordered snapshot of one task's spans and remarks; plain data,
-    safe to cross domains. *)
-
-type shard
-
-val empty_shard : shard
-val shard_is_empty : shard -> bool
-
-val isolated : (unit -> 'a) -> 'a * shard
-(** Run the thunk against a fresh, empty buffer and return everything
-    it recorded; the calling domain's buffer is untouched and restored
-    afterwards (also on exceptions, discarding the shard). *)
-
-val merge_shard : shard -> unit
-(** Append one shard's events to the calling domain's buffer, in the
-    shard's order.  Replaying {!isolated} shards in a deterministic
-    order makes the merged remark stream deterministic. *)
-
 val collect_remarks : (unit -> 'a) -> 'a * (anchor * remark) list
-(** Run the thunk with remarks force-enabled and isolated, restore the
-    previous enablement, and return what it emitted — how the fuzz
-    campaign attaches the failing pipeline's decisions to a failure
-    report without polluting the global stream.  The force is
-    domain-local, so concurrent pool workers collecting remarks never
-    interfere (the global {!set_remarks} flag is untouched). *)
+(** Run the thunk with remarks force-enabled and diverted, restore the
+    previous enablement and remark buffer, and return what it emitted —
+    how the compile service attaches a compile's decisions to its
+    artifact without polluting the global stream.  Only remarks are
+    diverted: counters, timers and spans reach the caller's state as
+    usual.  The force is domain-local, so concurrent pool workers
+    collecting remarks never interfere (the global {!set_remarks} flag
+    is untouched). *)

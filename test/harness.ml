@@ -194,3 +194,28 @@ let parse_json (s : string) : J.t =
   skip_ws ();
   if !pos <> len then fail "trailing garbage";
   v
+
+(* The calling domain's span events as (ph, name, tid) in emission
+   order, metadata skipped; an "E" event has the empty name. *)
+let span_events () =
+  match Fgv_support.Trace.chrome_trace () with
+  | J.Assoc fields -> (
+    match List.assoc "traceEvents" fields with
+    | J.List evs ->
+      List.filter_map
+        (function
+          | J.Assoc f -> (
+            match (List.assoc "ph" f, List.assoc_opt "tid" f) with
+            | J.String "M", _ -> None
+            | J.String ph, Some (J.Int tid) ->
+              let name =
+                match List.assoc_opt "name" f with
+                | Some (J.String n) -> n
+                | _ -> ""
+              in
+              Some (ph, name, tid)
+            | _ -> Alcotest.fail "span event needs a string ph and a tid")
+          | _ -> Alcotest.fail "event must be an object")
+        evs
+    | _ -> Alcotest.fail "traceEvents must be a list")
+  | _ -> Alcotest.fail "trace must be an object"

@@ -99,16 +99,14 @@ let test_observe_allocation_free () =
         if i mod 2 = 0 then 1.0 +. float_of_int i
         else 1.0 /. float_of_int (i + 2))
   in
-  let words, _shard =
-    H.isolated (fun () ->
-        H.observe "obslog.alloc" 1.0;
-        let w0 = Gc.minor_words () in
-        List.iter (fun v -> H.observe "obslog.alloc" v) samples;
-        let w1 = Gc.minor_words () in
-        w1 -. w0)
-  in
-  Alcotest.(check (float 0.0)) "no minor words over 10 000 observes" 0.0
-    words
+  let h = H.create () in
+  let record v = H.record h v in
+  record 1.0;
+  let w0 = Gc.minor_words () in
+  List.iter record samples;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "no minor words over 10 000 records" 0.0
+    (w1 -. w0)
 
 let hist_json h = J.to_string ~minify:true (H.to_json h)
 
@@ -128,10 +126,10 @@ let prop_merge_assoc_comm =
     (fun (xs, ys, zs) ->
       let a () = of_samples xs and b () = of_samples ys
       and c () = of_samples zs in
+      (* every operand is freshly built, so merging in place is safe *)
       let merged into src =
-        let m = H.copy into in
-        H.merge_into ~into:m src;
-        m
+        H.merge_into ~into src;
+        into
       in
       (* (a+b)+c = a+(b+c) and a+b = b+a, up to serialized bytes *)
       let left = merged (merged (a ()) (b ())) (c ()) in
@@ -143,25 +141,6 @@ let prop_merge_assoc_comm =
       hist_json left = hist_json right
       && hist_json ab = hist_json ba
       && hist_json left = hist_json flat)
-
-let test_shard_merge_order_free () =
-  let shard xs =
-    snd (H.isolated (fun () -> List.iter (H.observe "t") xs))
-  in
-  let s1 = shard [ 0.001; 0.002 ] in
-  let s2 = shard [ 0.004 ] in
-  let s3 = shard [ 0.008; 0.5; 0.001 ] in
-  let joined order =
-    fst
-      (H.isolated (fun () ->
-           List.iter H.merge_shard order;
-           match H.find "t" with
-           | Some h -> hist_json h
-           | None -> Alcotest.fail "merged histogram missing"))
-  in
-  Alcotest.(check string) "shard replay order cannot matter"
-    (joined [ s1; s2; s3 ])
-    (joined [ s3; s1; s2 ])
 
 (* --------------------------------------------------------- float repr *)
 
@@ -352,24 +331,25 @@ let test_telemetry_timer_histograms () =
   (* every *.time key gains distribution data: a timed thunk's snapshot
      carries a histogram whose count matches the timer count *)
   let module Tm = Fgv_support.Telemetry in
-  let (), shard =
-    Tm.isolated (fun () ->
+  let module Obs = Fgv_support.Obs in
+  let (), record =
+    Obs.capture (fun () ->
         for _ = 1 to 5 do
           Tm.time "obslog.work" (fun () -> ignore (Sys.opaque_identity 42))
         done)
   in
-  (match Tm.shard_timer_histograms shard with
+  (match Obs.timer_histograms record with
   | [ ("obslog.work", h) ] ->
     Alcotest.(check int) "histogram saw every invocation" 5 (H.count h)
   | _ -> Alcotest.fail "expected exactly the obslog.work histogram");
   let (), merged =
-    Tm.isolated (fun () ->
-        Tm.merge_shard shard;
-        Tm.merge_shard shard)
+    Obs.capture (fun () ->
+        Obs.replay record;
+        Obs.replay record)
   in
-  match Tm.shard_timer_histograms merged with
+  match Obs.timer_histograms merged with
   | [ ("obslog.work", h) ] ->
-    Alcotest.(check int) "merging shards sums histogram counts" 10
+    Alcotest.(check int) "replaying records sums histogram counts" 10
       (H.count h)
   | _ -> Alcotest.fail "expected the merged histogram"
 
@@ -381,8 +361,6 @@ let suite =
     Alcotest.test_case "observe is allocation-free" `Quick
       test_observe_allocation_free;
     QCheck_alcotest.to_alcotest prop_merge_assoc_comm;
-    Alcotest.test_case "shard merge is order-free" `Quick
-      test_shard_merge_order_free;
     Alcotest.test_case "float repr round-trips" `Quick test_float_round_trip;
     Alcotest.test_case "--log spec parsing" `Quick test_parse_spec;
     Alcotest.test_case "log+metrics projection vs --jobs" `Quick

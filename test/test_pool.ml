@@ -1,10 +1,15 @@
-(* Tests for the work-stealing domain pool and its telemetry contract:
-   deterministic result ordering, per-task exception capture, nested-map
-   rejection, counter merging under contention, and the end-to-end
-   determinism property the pool exists to uphold — a fuzz campaign and
-   a bench figure produce identical output at --jobs 1 and --jobs 4. *)
+(* Tests for the work-stealing domain pool and its observability
+   contract: deterministic result ordering, per-task exception capture,
+   nested-map rejection, counter merging under contention, per-task
+   capture/replay of every observation, and the end-to-end determinism
+   property the pool exists to uphold — a fuzz campaign and a bench
+   figure produce identical output at --jobs 1 and --jobs 4. *)
 
 module Tm = Fgv_support.Telemetry
+module Tr = Fgv_support.Trace
+module Obs = Fgv_support.Obs
+module H = Fgv_support.Histogram
+module J = Fgv_support.Json
 module Pool = Fgv_support.Pool
 module E = Fgv_bench.Experiments
 module Campaign = Fgv_fuzz.Campaign
@@ -96,38 +101,67 @@ let test_timer_merge () =
      List.find_opt (fun (name, _, _) -> name = "pool.test.timer") timers
    with
   | Some (_, total, count) ->
-    (* counts sum across shards; the merged total is the max over the
-       joined shards (critical path), so it is bounded by any one
-       shard's work but still non-negative *)
+    (* each task's record is replayed at the join: counts and totals
+       both sum, so the total is the sum of the task durations, exactly
+       as at jobs:1 *)
     Alcotest.(check int) "timer count summed" 6 count;
     Alcotest.(check bool) "timer total non-negative" true (total >= 0.0)
   | None -> Alcotest.fail "timer not merged");
   Tm.reset ()
 
-let test_isolated_merge_shard_roundtrip () =
+(* Everything the tasks observe, minus wall-clock values: counters,
+   timer and histogram counts, the remark stream, and the span
+   (ph, name) sequence. *)
+let observed_compiles jobs =
   Tm.reset ();
-  Tm.incr "pool.test.outer";
-  let (), shard =
-    Tm.isolated (fun () ->
-        Tm.incr "pool.test.inner";
-        Tm.incr "pool.test.inner")
-  in
-  Alcotest.(check int)
-    "isolated work invisible before merge" 0
-    (Tm.get "pool.test.inner");
-  Alcotest.(check int) "outer counter untouched" 1 (Tm.get "pool.test.outer");
-  Tm.merge_shard shard;
-  Alcotest.(check int)
-    "isolated work visible after merge" 2
-    (Tm.get "pool.test.inner");
-  Tm.reset ()
+  Tr.reset ();
+  Tr.set_spans true;
+  Tr.set_remarks true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tr.set_spans false;
+      Tr.set_remarks false)
+    (fun () ->
+      let kernels = List.filteri (fun i _ -> i < 8) Fgv_bench.Tsvc.kernels in
+      ignore
+        (Pool.map ~jobs
+           (fun (k : Fgv_bench.Workload.kernel) ->
+             Fgv_passes.Pipelines.sv_versioning (Harness.compile k.k_source))
+           kernels);
+      let spans =
+        List.map (fun (ph, name, _) -> ph ^ " " ^ name) (Harness.span_events ())
+      in
+      let line (n, v) = Printf.sprintf "%s=%d" n v in
+      let observed =
+        String.concat "\n"
+          (List.map line (Tm.counters ())
+          @ List.map (fun (n, _, c) -> line (n, c)) (Tm.timers ())
+          @ List.map
+              (fun (n, h) -> line (n ^ ".histogram", H.count h))
+              (Obs.timer_histograms (Obs.cur ()))
+          @ spans)
+        ^ "\n" ^ Tr.remarks_jsonl ()
+      in
+      let recorded = (List.length spans, Tr.remarks ()) in
+      Tm.reset ();
+      Tr.reset ();
+      (observed, recorded))
+
+let test_capture_replay_jobs () =
+  let seq, (n_spans, remarks) = observed_compiles 1 in
+  let par, _ = observed_compiles 4 in
+  Alcotest.(check bool) "pipeline spans recorded" true (n_spans > 8);
+  Alcotest.(check bool) "remarks recorded" true (remarks <> []);
+  Alcotest.(check string)
+    "counters, timer counts, spans and remarks identical at jobs 1 vs 4" seq
+    par
 
 (* -------------------------------------------- end-to-end determinism *)
 
 let run_campaign jobs =
   Tm.reset ();
   let outcome = Campaign.run ~jobs ~n:20 ~seed:42 () in
-  let report = Tm.json_to_string (Campaign.report_json outcome) in
+  let report = J.to_string (Campaign.report_json outcome) in
   Tm.reset ();
   report
 
@@ -162,8 +196,8 @@ let suite =
     Alcotest.test_case "counter merge under contention" `Quick
       test_counter_merge_under_contention;
     Alcotest.test_case "timer merge" `Quick test_timer_merge;
-    Alcotest.test_case "isolated/merge_shard round-trip" `Quick
-      test_isolated_merge_shard_roundtrip;
+    Alcotest.test_case "capture/replay: jobs 1 vs 4" `Quick
+      test_capture_replay_jobs;
     Alcotest.test_case "campaign determinism" `Slow test_campaign_determinism;
     Alcotest.test_case "figure determinism" `Slow test_figure_determinism;
   ]

@@ -277,6 +277,70 @@ let test_second_pipeline_is_not_an_edit () =
   ignore (S.handle_request svc (rq ~pipeline:"o3" edited));
   Alcotest.(check int) "a real edit invalidates once" 1 svc.S.uinvalidated
 
+(* A served compile keeps its pipeline spans, nested inside its own
+   service.compile span, at any job count: two distinct s131 compiles
+   so that jobs:2 really runs them on worker domains. *)
+let test_served_compile_spans () =
+  let module Tr = Fgv_support.Trace in
+  let s131 name =
+    Printf.sprintf
+      "kernel %s(float* restrict a, float* restrict b, int n, int m) { for \
+       (int i = 0; i < n - 1; i = i + 1) { a[i] = a[i + m] + b[i]; } }"
+      name
+  in
+  List.iter
+    (fun jobs ->
+      Tr.reset ();
+      Tr.set_spans true;
+      let events =
+        Fun.protect
+          ~finally:(fun () -> Tr.set_spans false)
+          (fun () ->
+            ignore
+              (S.handle_batch (S.create ~jobs ())
+                 [ rq ~id:"a" (s131 "s131"); rq ~id:"b" (s131 "s131b") ]);
+            Harness.span_events ())
+      in
+      Tr.reset ();
+      let stacks = Hashtbl.create 4 and inside = Hashtbl.create 8 in
+      List.iter
+        (fun (ph, name, tid) ->
+          let stack = Option.value (Hashtbl.find_opt stacks tid) ~default:[] in
+          if ph = "B" then begin
+            let key = (name, List.mem "service.compile" stack) in
+            Hashtbl.replace inside key
+              (1 + Option.value (Hashtbl.find_opt inside key) ~default:0);
+            Hashtbl.replace stacks tid (name :: stack)
+          end
+          else
+            match stack with
+            | _ :: rest -> Hashtbl.replace stacks tid rest
+            | [] -> Alcotest.failf "jobs %d: E without B on tid %d" jobs tid)
+        events;
+      Hashtbl.iter
+        (fun tid stack ->
+          if stack <> [] then
+            Alcotest.failf "jobs %d: unbalanced spans on tid %d" jobs tid)
+        stacks;
+      let count name nested =
+        Option.value (Hashtbl.find_opt inside (name, nested)) ~default:0
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "jobs %d: two service.compile spans" jobs)
+        2
+        (count "service.compile" false);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: %s inside service.compile" jobs name)
+            true
+            (count name true >= 2);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: no %s outside service.compile" jobs name)
+            0 (count name false))
+        [ "plan.infer"; "cut.find"; "slp" ])
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -292,4 +356,6 @@ let suite =
       test_failures_not_cached;
     Alcotest.test_case "second pipeline is not an edit" `Quick
       test_second_pipeline_is_not_an_edit;
+    Alcotest.test_case "served compile keeps its pipeline spans" `Quick
+      test_served_compile_spans;
   ]

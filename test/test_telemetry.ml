@@ -4,10 +4,10 @@
    and reset-between-sessions behaviour. *)
 
 module Tm = Fgv_support.Telemetry
+module J = Fgv_support.Json
 
 (* The independent JSON parser lives in {!Harness.parse_json} so the
-   trace and pool suites can share it; [Tm.json] is an alias of
-   {!Fgv_support.Json.t}, so its result matches [Tm.*] patterns. *)
+   trace and pool suites can share it; it returns a {!J.t}. *)
 let parse_json = Harness.parse_json
 
 (* ------------------------------------------------------------ counters *)
@@ -92,28 +92,28 @@ let test_capture () =
 
 let test_json_escaping_roundtrip () =
   let doc =
-    Tm.Assoc
+    J.Assoc
       [
-        ("quote\"back\\slash", Tm.String "tab\tnewline\nctrl\001");
-        ("empty", Tm.Assoc []);
-        ("list", Tm.List [ Tm.Int 1; Tm.Bool false; Tm.Null ]);
-        ("neg", Tm.Int (-42));
-        ("float", Tm.Float 2.5);
-        ("whole_float", Tm.Float 3.0);
+        ("quote\"back\\slash", J.String "tab\tnewline\nctrl\001");
+        ("empty", J.Assoc []);
+        ("list", J.List [ J.Int 1; J.Bool false; J.Null ]);
+        ("neg", J.Int (-42));
+        ("float", J.Float 2.5);
+        ("whole_float", J.Float 3.0);
       ]
   in
   List.iter
     (fun minify ->
-      let text = Tm.json_to_string ~minify doc in
+      let text = J.to_string ~minify doc in
       match parse_json text with
-      | Tm.Assoc fields ->
+      | J.Assoc fields ->
         Alcotest.(check int) "all fields survive" 6 (List.length fields);
         (match List.assoc "quote\"back\\slash" fields with
-        | Tm.String s ->
+        | J.String s ->
           Alcotest.(check string) "escapes round-trip" "tab\tnewline\nctrl\001" s
         | _ -> Alcotest.fail "expected string field");
         (match List.assoc "whole_float" fields with
-        | Tm.Float x -> Alcotest.(check (float 0.0)) "3.0 stays float" 3.0 x
+        | J.Float x -> Alcotest.(check (float 0.0)) "3.0 stays float" 3.0 x
         | _ -> Alcotest.fail "whole float must not parse as int")
       | _ -> Alcotest.fail "expected an object")
     [ true; false ]
@@ -123,19 +123,19 @@ let test_snapshot_well_formed () =
   Tm.incr ~by:2 "cut.edges";
   Tm.incr "plan.inferred";
   ignore (Tm.time "pipeline.sv" (fun () -> ()));
-  let text = Tm.json_to_string (Tm.snapshot ()) in
+  let text = J.to_string (Tm.snapshot ()) in
   match parse_json text with
-  | Tm.Assoc [ ("counters", Tm.Assoc cs); ("timers", Tm.Assoc ts) ] ->
+  | J.Assoc [ ("counters", J.Assoc cs); ("timers", J.Assoc ts) ] ->
     Alcotest.(check (list string))
       "counter keys sorted" [ "cut.edges"; "plan.inferred" ] (List.map fst cs);
     Alcotest.(check bool) "counter value" true
-      (List.assoc "cut.edges" cs = Tm.Int 2);
+      (List.assoc "cut.edges" cs = J.Int 2);
     (match ts with
-    | [ ("pipeline.sv", Tm.Assoc fields) ] ->
+    | [ ("pipeline.sv", J.Assoc fields) ] ->
       Alcotest.(check bool) "timer has count" true
-        (List.assoc "count" fields = Tm.Int 1);
+        (List.assoc "count" fields = J.Int 1);
       (match List.assoc "total_s" fields with
-      | Tm.Float _ | Tm.Int _ -> ()
+      | J.Float _ | J.Int _ -> ()
       | _ -> Alcotest.fail "total_s must be numeric")
     | _ -> Alcotest.fail "expected one timer entry")
   | _ -> Alcotest.fail "snapshot must be {counters, timers}"

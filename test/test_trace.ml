@@ -36,28 +36,7 @@ let with_tracing ?(spans = false) ?(remarks = false) f =
 (* Project the trace down to the deterministic part: (ph, name) pairs in
    emission order, skipping metadata. *)
 let span_shape () =
-  match Tr.chrome_trace () with
-  | J.Assoc fields -> (
-    match List.assoc "traceEvents" fields with
-    | J.List evs ->
-      List.filter_map
-        (fun ev ->
-          match ev with
-          | J.Assoc f -> (
-            match List.assoc "ph" f with
-            | J.String "M" -> None
-            | J.String ph ->
-              let name =
-                match List.assoc_opt "name" f with
-                | Some (J.String n) -> n
-                | _ -> ""
-              in
-              Some (ph, name)
-            | _ -> Alcotest.fail "ph must be a string")
-          | _ -> Alcotest.fail "event must be an object")
-        evs
-    | _ -> Alcotest.fail "traceEvents must be a list")
-  | _ -> Alcotest.fail "trace must be an object"
+  List.map (fun (ph, name, _) -> (ph, name)) (Harness.span_events ())
 
 let test_span_nesting () =
   with_tracing ~spans:true (fun () ->
@@ -179,7 +158,7 @@ let test_remarks_jsonl_roundtrip () =
           (List.assoc "vectors" second = J.Int 4)
       | _ -> Alcotest.fail "each line must parse as an object")
 
-(* The pool replays per-task trace shards in input index order, so the
+(* The pool replays per-task records in input index order, so the
    remark stream must not depend on the worker count or the schedule. *)
 let test_remark_determinism_across_jobs () =
   let stream jobs =
@@ -261,6 +240,28 @@ let test_s131_versioning_spans () =
       Alcotest.(check bool) "plan.infer span emitted" true (begun "plan.infer");
       Alcotest.(check bool) "cut.find span emitted" true (begun "cut.find"))
 
+(* Collecting remarks diverts only the remarks: the spans of the
+   collected compile stay in the caller's trace, nested where they ran. *)
+let test_collect_remarks_keeps_spans () =
+  with_tracing ~spans:true (fun () ->
+      let (_ : P.pass_stats), remarks =
+        Tr.with_span "outer" (fun () ->
+            Tr.collect_remarks (fun () ->
+                P.sv_versioning (Harness.compile s131_src)))
+      in
+      Alcotest.(check bool) "remarks collected" true (remarks <> []);
+      Alcotest.(check string) "collected remarks left the stream" ""
+        (Tr.remarks_jsonl ());
+      let shape = span_shape () in
+      Alcotest.(check bool) "plan.infer span kept" true
+        (List.mem ("B", "plan.infer") shape);
+      Alcotest.(check bool) "cut.find span kept" true
+        (List.mem ("B", "cut.find") shape);
+      Alcotest.(check (pair string string)) "outer span opens the trace"
+        ("B", "outer") (List.hd shape);
+      Alcotest.(check (pair string string)) "outer span closes it" ("E", "")
+        (List.nth shape (List.length shape - 1)))
+
 (* ---------------------------------------------------------------- udiff *)
 
 let test_udiff_equal_is_empty () =
@@ -329,6 +330,8 @@ let suite =
       test_golden_s131_decisions;
     Alcotest.test_case "s131 plan.infer and cut.find spans" `Quick
       test_s131_versioning_spans;
+    Alcotest.test_case "collect_remarks keeps spans in the caller's buffer"
+      `Quick test_collect_remarks_keeps_spans;
     Alcotest.test_case "udiff: equal inputs" `Quick test_udiff_equal_is_empty;
     Alcotest.test_case "udiff: golden hunk" `Quick test_udiff_golden;
     Alcotest.test_case "udiff: hunk grouping and labels" `Quick
