@@ -316,8 +316,18 @@ let run_driver file fuzz seed fuzz_report fuzz_native pipeline dump_ir
     s
   in
   let f =
-    if no_restrict then Fgv_frontend.Lower_ast.compile_no_restrict source
-    else Fgv_frontend.Lower_ast.compile source
+    let front_error kind m =
+      Printf.eprintf "fgvc: %s error: %s\n" kind m;
+      exit 1
+    in
+    match
+      if no_restrict then Fgv_frontend.Lower_ast.compile_no_restrict source
+      else Fgv_frontend.Lower_ast.compile source
+    with
+    | f -> f
+    | exception Fgv_frontend.Lexer.Error m -> front_error "lex" m
+    | exception Fgv_frontend.Parser.Error m -> front_error "parse" m
+    | exception Fgv_frontend.Lower_ast.Error m -> front_error "lowering" m
   in
   let apply =
     match List.assoc_opt pipeline pipelines with
@@ -604,6 +614,7 @@ let cmd =
          requests in it.";
       `S Manpage.s_exit_status;
       `P "0 on success;";
+      `P "1 when the kernel source does not lex, parse or lower;";
       `P "2 on usage errors (unknown pipeline, bad format argument);";
       `P "3 when the optimized IR fails verification (a compiler bug);";
       `P "4 when $(b,--fuzz) found a miscompilation;";

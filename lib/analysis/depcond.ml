@@ -290,7 +290,9 @@ let compute ctx (i : Ir.node) (j : Ir.node) : cond =
       in
       When conds
     | _ ->
-      if List.mem jv (Ir.all_operands ii) then Always
+      let is_jv v = v = jv in
+      if Ir.exists_operand is_jv ii.kind || Pred.exists_literal is_jv ii.ipred
+      then Always
       else if not (Ir.may_write_inst ii) && not (Ir.may_write_inst ji) then
         Never
       else if not (Ir.is_memory_inst ii) || not (Ir.is_memory_inst ji) then

@@ -92,7 +92,18 @@ let cty info (v : C.cvalue) : Ir.ty =
   | None -> Ir.Tint
 
 let is_vec info v = ty_width (cty info v) > 1
-let hexbits (x : float) = Printf.sprintf "0x%016LxULL" (Int64.bits_of_float x)
+
+(* A float constant's bit pattern as a C literal, "0x%016LxULL" written
+   by hand: each of the 16 digits is the low nibble of a logical shift,
+   so a set sign bit prints as itself. *)
+let add_hexbits buf (x : float) =
+  let bits = Int64.bits_of_float x in
+  Buffer.add_string buf "0x";
+  for k = 15 downto 0 do
+    let d = Int64.to_int (Int64.shift_right_logical bits (4 * k)) land 15 in
+    Buffer.add_char buf "0123456789abcdef".[d]
+  done;
+  Buffer.add_string buf "ULL"
 
 (* ------------------------------------------------------------------ *)
 (* Checked mode                                                       *)
@@ -437,7 +448,10 @@ let emit_checked_inst buf _info (i : C.cinst) =
   bpf buf "  BURN;\n";
   match i.C.ck with
   | C.KConst (Ir.Cint n) -> bpf buf "  %s = vint(%dLL);\n" r n
-  | C.KConst (Ir.Cfloat x) -> bpf buf "  %s = vfloat(fbits(%s));\n" r (hexbits x)
+  | C.KConst (Ir.Cfloat x) ->
+    bpf buf "  %s = vfloat(fbits(" r;
+    add_hexbits buf x;
+    Buffer.add_string buf "));\n"
   | C.KConst (Ir.Cbool b) -> bpf buf "  %s = vbool(%d);\n" r (if b then 1 else 0)
   | C.KConst (Ir.Cundef _) -> bpf buf "  %s = vundef();\n" r
   | C.KArg n -> bpf buf "  %s = arg_get(%d);\n" r n
@@ -517,22 +531,38 @@ let emit_checked_block buf info (p : C.prog) (b : C.block) =
     bpf buf "    goto B%d;\n  }\n" e
   | C.Ret -> bpf buf "  return;\n"
 
+(* The memory image is written once, straight into the file's buffer:
+   one line per non-undef cell. *)
 let emit_mem_init_checked buf (mem : Value.t array) =
-  bpf buf "static void init_mem(void) {\n";
+  let add_int = Fgv_support.Textbuf.add_int in
+  let cell k ctor =
+    Buffer.add_string buf "  mem[";
+    add_int buf k;
+    Buffer.add_string buf "] = ";
+    Buffer.add_string buf ctor
+  in
+  Buffer.add_string buf "static void init_mem(void) {\n";
   Array.iteri
     (fun k (v : Value.t) ->
       match v with
-      | Value.VInt n -> bpf buf "  mem[%d] = vint(%dLL);\n" k n
-      | Value.VFloat x -> bpf buf "  mem[%d] = vfloat(fbits(%s));\n" k (hexbits x)
-      | Value.VBool b -> bpf buf "  mem[%d] = vbool(%d);\n" k (if b then 1 else 0)
+      | Value.VInt n ->
+        cell k "vint(";
+        add_int buf n;
+        Buffer.add_string buf "LL);\n"
+      | Value.VFloat x ->
+        cell k "vfloat(fbits(";
+        add_hexbits buf x;
+        Buffer.add_string buf "));\n"
+      | Value.VBool b -> cell k (if b then "vbool(1);\n" else "vbool(0);\n")
       | Value.VUndef -> () (* zero-initialized = undef *)
       | Value.VVec _ -> invalid_arg "Emit.checked: vector heap cell")
     mem;
-  bpf buf "}\n\n"
+  Buffer.add_string buf "}\n\n"
 
 let checked ?(fuel = 100_000_000) (p : C.prog) ~(mem : Value.t array) : string =
   let info = analyze p in
-  let buf = Buffer.create 16384 in
+  (* room for the memory image too (~40 bytes a cell) *)
+  let buf = Buffer.create (16384 + (40 * Array.length mem)) in
   Buffer.add_string buf
     (checked_prelude ~memn:(Array.length mem) ~maxw:info.max_width ~fuel);
   bpf buf "\n/* === %s === */\n\n" p.C.pname;

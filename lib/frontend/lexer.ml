@@ -77,7 +77,14 @@ let tokenize (src : string) : token array =
       done
     end;
     let text = String.sub src start (!pos - start) in
-    if !is_float then TFloat (float_of_string text) else TInt (int_of_string text)
+    if !is_float then
+      match float_of_string_opt text with
+      | Some x -> TFloat x
+      | None -> fail "line %d: malformed number %s" !line text
+    else
+      match int_of_string_opt text with
+      | Some n -> TInt n
+      | None -> fail "line %d: integer literal %s out of range" !line text
   in
   let lex_ident () =
     let start = !pos in

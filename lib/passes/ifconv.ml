@@ -47,10 +47,12 @@ let convertible f lp =
     (fun v -> Hashtbl.replace inside v ())
     (lp.Ir.mus @ List.concat_map (Ir.defined_values f) lp.Ir.body);
   let operands_available i =
-    List.for_all
-      (fun o ->
-        Hashtbl.mem inside o || Pred.equal (Ir.inst f o).Ir.ipred Pred.tru)
-      (Ir.all_operands i)
+    let unavailable o =
+      not (Hashtbl.mem inside o || Pred.equal (Ir.inst f o).Ir.ipred Pred.tru)
+    in
+    not
+      (Ir.exists_operand unavailable i.Ir.kind
+      || Pred.exists_literal unavailable i.Ir.ipred)
   in
   List.for_all
     (fun item ->

@@ -278,12 +278,6 @@ let set_region_items f region items =
   | Rtop -> f.fbody <- items
   | Rloop lid -> (loop f lid).body <- items
 
-let item_eq a b =
-  match a, b with
-  | I x, I y -> x = y
-  | L x, L y -> x = y
-  | _ -> false
-
 (* Map each node to the region that directly contains it, and each mu to
    its loop's *parent* region (mus belong to the loop header). *)
 let parent_regions f =
@@ -321,52 +315,73 @@ let region_chain f region =
 
 (* --------------------------------------------------------- program order *)
 
+(* Whole-function tables below are arrays indexed by value (or loop) id,
+   sized by [next_value] ([next_loop]) when built: ids are dense, so a
+   lookup is one bounds test and one load.  An id created after a table
+   was built reads as if it were absent. *)
+
 (* Assign every node (and every mu) a position consistent with program
    order: mus first, then body items in sequence; a loop's position is
    where it starts.  Used for the termination argument of plan inference
    and by the verifier. *)
 let compute_order f =
-  let tbl : (node, int) Hashtbl.t = Hashtbl.create 64 in
+  let vpos = Array.make f.next_value (-1) in
+  let lpos = Array.make f.next_loop (-1) in
   let counter = ref 0 in
-  let next () =
-    let c = !counter in
-    counter := c + 1;
-    c
+  let place tbl id =
+    tbl.(id) <- !counter;
+    incr counter
   in
   let rec walk items =
     List.iter
       (fun item ->
         match item with
-        | I v -> Hashtbl.replace tbl (NI v) (next ())
+        | I v -> place vpos v
         | L lid ->
           let lp = loop f lid in
-          Hashtbl.replace tbl (NL lid) (next ());
-          List.iter (fun m -> Hashtbl.replace tbl (NI m) (next ())) lp.mus;
+          place lpos lid;
+          List.iter (place vpos) lp.mus;
           walk lp.body)
       items
   in
   walk f.fbody;
   fun node ->
-    match Hashtbl.find_opt tbl node with
-    | Some n -> n
-    | None -> invalid_arg "Ir.compute_order: node not in function body"
+    let tbl, id = match node with NI v -> (vpos, v) | NL l -> (lpos, l) in
+    let n = if id >= 0 && id < Array.length tbl then tbl.(id) else -1 in
+    if n < 0 then invalid_arg "Ir.compute_order: node not in function body"
+    else n
 
 (* ----------------------------------------------------------------- users *)
 
 (* Map from value to the instructions that use it as a data operand or in
-   their execution predicate.  Recomputed on demand. *)
+   their execution predicate, each user once, in arena-iteration order
+   (most recently visited first).  Recomputed on demand.  An instruction
+   visits its operands one after the other, so a repeated operand finds
+   the instruction already at the head of its list. *)
 let compute_users f =
-  let tbl : (value_id, value_id list) Hashtbl.t = Hashtbl.create 64 in
-  let add user v =
-    let cur = Option.value ~default:[] (Hashtbl.find_opt tbl v) in
-    Hashtbl.replace tbl v (user :: cur)
+  let tbl = ref (Array.make f.next_value []) in
+  let user = ref 0 in
+  let add v =
+    if v >= Array.length !tbl then begin
+      (* an operand outside the id space (ill-formed IR): grow *)
+      let bigger = Array.make (v + 1) [] in
+      Array.blit !tbl 0 bigger 0 (Array.length !tbl);
+      tbl := bigger
+    end;
+    let t = !tbl in
+    (match t.(v) with
+    | u :: _ when u = !user -> ()
+    | us -> t.(v) <- !user :: us);
+    false
   in
-  let visit_inst i = List.iter (add i.id) (all_operands i) in
-  Hashtbl.iter (fun _ i -> visit_inst i) f.arena;
-  fun v -> Option.value ~default:[] (Hashtbl.find_opt tbl v)
-
-(* Direct use test: does instruction [i] read value [j]? *)
-let uses f i j = List.mem j (all_operands (inst f i))
+  Hashtbl.iter
+    (fun _ i ->
+      user := i.id;
+      ignore (exists_operand add i.kind);
+      ignore (Pred.exists_literal add i.ipred))
+    f.arena;
+  let tbl = !tbl in
+  fun v -> if v >= 0 && v < Array.length tbl then tbl.(v) else []
 
 (* --------------------------------------------------------------- cloning *)
 
@@ -442,15 +457,6 @@ let clone_item f remap item =
   in
   f.indep_scopes <- transferred @ f.indep_scopes;
   result
-
-(* Loop-id remapping produced by the last [clone_item] call is recovered
-   by comparing mu kinds; expose a helper instead: replace loop references
-   in an instruction (used for etas cloned separately). *)
-let retarget_eta f v ~new_loop =
-  let i = inst f v in
-  match i.kind with
-  | Eta e -> i.kind <- Eta { e with loop = new_loop }
-  | _ -> invalid_arg "Ir.retarget_eta: not an eta"
 
 (* ------------------------------------------------------ use replacement *)
 
@@ -542,26 +548,32 @@ let add_indep_scope f a b p = f.indep_scopes <- (a, b, p) :: f.indep_scopes
 (* Effective predicate of every placed value: its own predicate
    conjoined with the guards of all enclosing loops.  This is the
    condition under which the instruction actually executes, seen from
-   the top of the function. *)
+   the top of the function.  Unplaced values fall back to their own
+   predicate. *)
 let effective_preds f =
-  let tbl : (value_id, Pred.t) Hashtbl.t = Hashtbl.create 64 in
+  let tbl = Array.make f.next_value Pred.tru in
+  let placed = Bytes.make f.next_value '\000' in
+  let set v p =
+    tbl.(v) <- p;
+    Bytes.unsafe_set placed v '\001'
+  in
   let rec walk ctx items =
     List.iter
       (fun item ->
         match item with
-        | I v -> Hashtbl.replace tbl v (Pred.and_ ctx (inst f v).ipred)
+        | I v -> set v (Pred.and_ ctx (inst f v).ipred)
         | L lid ->
           let lp = loop f lid in
           let ctx' = Pred.and_ ctx lp.lpred in
-          List.iter (fun m -> Hashtbl.replace tbl m ctx') lp.mus;
+          List.iter (fun m -> set m ctx') lp.mus;
           walk ctx' lp.body)
       items
   in
   walk Pred.tru f.fbody;
   fun v ->
-    match Hashtbl.find_opt tbl v with
-    | Some p -> p
-    | None -> (inst f v).ipred
+    if v >= 0 && v < Array.length tbl && Bytes.get placed v <> '\000' then
+      tbl.(v)
+    else (inst f v).ipred
 
 (* Is the pair (a, b) covered by a recorded independence fact?  The
    recorded disjointness holds whenever p holds; a dependence can only

@@ -1,89 +1,233 @@
 (* Textual rendering of PSSA functions, close to the paper's notation:
-   each line is "<def> = <op> ...  ; <predicate>". *)
+   each line is "<def> = <op> ...  ; <predicate>".  Every piece is
+   written straight into one [Buffer]; the string forms are wrappers. *)
 
 open Ir
 
-let rec string_of_const = function
-  | Cint n -> string_of_int n
-  | Cfloat x -> Printf.sprintf "%g" x
-  | Cbool b -> string_of_bool b
-  | Cundef t -> "undef:" ^ string_of_ty t
+let add_int = Fgv_support.Textbuf.add_int
+let add_string = Buffer.add_string
+let add_char = Buffer.add_char
 
-and string_of_kind f kind =
-  let v = value_name f in
+(* Same text as [Ir.value_name]. *)
+let add_value buf f v =
+  match Hashtbl.find f.arena v with
+  | i when i.name <> "" ->
+    add_char buf '%';
+    add_string buf i.name;
+    add_char buf '.';
+    add_int buf v
+  | _ ->
+    add_string buf "%v";
+    add_int buf v
+  | exception Not_found ->
+    add_string buf "%DEAD.";
+    add_int buf v
+
+let rec add_ty buf = function
+  | Tvec (t, n) ->
+    add_char buf '<';
+    add_int buf n;
+    add_string buf " x ";
+    add_ty buf t;
+    add_char buf '>'
+  | t -> add_string buf (string_of_ty t)
+
+(* Same text as [Pred.to_string (value_name f)]. *)
+let rec add_pred buf f p =
+  match Pred.view p with
+  | Pred.Ptrue -> add_string buf "true"
+  | Pred.Pfalse -> add_string buf "false"
+  | Pred.Plit { v; positive } ->
+    if not positive then add_char buf '!';
+    add_value buf f v
+  | Pred.Pand xs -> add_junction buf f " & " xs
+  | Pred.Por xs -> add_junction buf f " | " xs
+
+and add_junction buf f sep xs =
+  add_char buf '(';
+  List.iteri
+    (fun k x ->
+      if k > 0 then add_string buf sep;
+      add_pred buf f x)
+    xs;
+  add_char buf ')'
+
+let add_values buf f vs =
+  List.iteri
+    (fun k x ->
+      if k > 0 then add_string buf ", ";
+      add_value buf f x)
+    vs
+
+let add_const buf = function
+  | Cint n -> add_int buf n
+  | Cfloat x -> add_string buf (Printf.sprintf "%g" x)
+  | Cbool b -> add_string buf (string_of_bool b)
+  | Cundef t ->
+    add_string buf "undef:";
+    add_ty buf t
+
+let add_kind buf f kind =
+  let v = add_value buf f in
+  let s = add_string buf in
   match kind with
-  | Const c -> "const " ^ string_of_const c
+  | Const c ->
+    s "const ";
+    add_const buf c
   | Arg n ->
-    let pname = try fst (List.nth f.params n) with _ -> string_of_int n in
-    Printf.sprintf "arg %d (%s)" n pname
-  | Binop (op, a, b) -> Printf.sprintf "%s %s, %s" (string_of_binop op) (v a) (v b)
-  | Cmp (op, a, b) -> Printf.sprintf "cmp %s %s, %s" (string_of_cmpop op) (v a) (v b)
-  | Cast (t, a) -> Printf.sprintf "cast %s to %s" (v a) (string_of_ty t)
+    s "arg ";
+    add_int buf n;
+    s " (";
+    (match if n < 0 then None else List.nth_opt f.params n with
+    | Some (pname, _) -> s pname
+    | None -> add_int buf n);
+    s ")"
+  | Binop (op, a, b) ->
+    s (string_of_binop op);
+    s " ";
+    v a;
+    s ", ";
+    v b
+  | Cmp (op, a, b) ->
+    s "cmp ";
+    s (string_of_cmpop op);
+    s " ";
+    v a;
+    s ", ";
+    v b
+  | Cast (t, a) ->
+    s "cast ";
+    v a;
+    s " to ";
+    add_ty buf t
   | Select { cond; if_true; if_false } ->
-    Printf.sprintf "select %s, %s, %s" (v cond) (v if_true) (v if_false)
+    s "select ";
+    v cond;
+    s ", ";
+    v if_true;
+    s ", ";
+    v if_false
   | Phi ops ->
-    let parts =
-      List.map
-        (fun (p, x) -> Printf.sprintf "%s: %s" (Pred.to_string v p) (v x))
-        ops
-    in
-    "phi(" ^ String.concat ", " parts ^ ")"
+    s "phi(";
+    List.iteri
+      (fun k (p, x) ->
+        if k > 0 then s ", ";
+        add_pred buf f p;
+        s ": ";
+        v x)
+      ops;
+    s ")"
   | Mu { init; recur; loop } ->
-    Printf.sprintf "mu(%s, %s) @L%d" (v init) (v recur) loop
-  | Eta { loop; value } -> Printf.sprintf "eta L%d %s" loop (v value)
-  | Load { addr } -> Printf.sprintf "load [%s]" (v addr)
-  | Store { addr; value } -> Printf.sprintf "store [%s], %s" (v addr) (v value)
+    s "mu(";
+    v init;
+    s ", ";
+    v recur;
+    s ") @L";
+    add_int buf loop
+  | Eta { loop; value } ->
+    s "eta L";
+    add_int buf loop;
+    s " ";
+    v value
+  | Load { addr } ->
+    s "load [";
+    v addr;
+    s "]"
+  | Store { addr; value } ->
+    s "store [";
+    v addr;
+    s "], ";
+    v value
   | Call { callee; args; effect } ->
-    let e =
-      match effect with Pure -> "pure " | Readonly -> "readonly " | Impure -> ""
-    in
-    Printf.sprintf "call %s%s(%s)" e callee (String.concat ", " (List.map v args))
-  | Splat a -> Printf.sprintf "splat %s" (v a)
-  | Vecbuild vs -> "vec(" ^ String.concat ", " (List.map v vs) ^ ")"
-  | Extract (a, n) -> Printf.sprintf "extract %s, %d" (v a) n
+    s "call ";
+    (match effect with
+    | Pure -> s "pure "
+    | Readonly -> s "readonly "
+    | Impure -> ());
+    s callee;
+    s "(";
+    add_values buf f args;
+    s ")"
+  | Splat a ->
+    s "splat ";
+    v a
+  | Vecbuild vs ->
+    s "vec(";
+    add_values buf f vs;
+    s ")"
+  | Extract (a, n) ->
+    s "extract ";
+    v a;
+    s ", ";
+    add_int buf n
 
-let string_of_inst f i =
-  let v = value_name f in
-  let lhs = if i.ty = Tvoid then "" else Printf.sprintf "%s = " (v i.id) in
-  Printf.sprintf "%s%s ; %s" lhs (string_of_kind f i.kind)
-    (Pred.to_string v i.ipred)
+let add_inst buf f i =
+  if i.ty <> Tvoid then begin
+    add_value buf f i.id;
+    add_string buf " = "
+  end;
+  add_kind buf f i.kind;
+  add_string buf " ; ";
+  add_pred buf f i.ipred
 
-let to_string f =
-  let buf = Buffer.create 1024 in
-  let v = value_name f in
-  let indent n = String.make (2 * n) ' ' in
-  let rec pp_items depth items =
+let with_buffer write =
+  let buf = Buffer.create 64 in
+  write buf;
+  Buffer.contents buf
+
+let string_of_kind f kind = with_buffer (fun buf -> add_kind buf f kind)
+let string_of_inst f i = with_buffer (fun buf -> add_inst buf f i)
+
+let add_func buf f =
+  let indent depth =
+    for _ = 1 to depth do
+      add_string buf "  "
+    done
+  in
+  let line depth i =
+    indent depth;
+    add_inst buf f (inst f i);
+    add_char buf '\n'
+  in
+  let rec add_items depth items =
     List.iter
       (fun item ->
         match item with
-        | I id ->
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf (string_of_inst f (inst f id));
-          Buffer.add_char buf '\n'
+        | I id -> line depth id
         | L lid ->
           let lp = loop f lid in
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf
-            (Printf.sprintf "loop L%d ; %s\n" lp.lid (Pred.to_string v lp.lpred));
-          List.iter
-            (fun m ->
-              Buffer.add_string buf (indent (depth + 1));
-              Buffer.add_string buf (string_of_inst f (inst f m));
-              Buffer.add_char buf '\n')
-            lp.mus;
-          pp_items (depth + 1) lp.body;
-          Buffer.add_string buf (indent depth);
-          Buffer.add_string buf
-            (Printf.sprintf "while %s\n" (Pred.to_string v lp.cont)))
+          indent depth;
+          add_string buf "loop L";
+          add_int buf lp.lid;
+          add_string buf " ; ";
+          add_pred buf f lp.lpred;
+          add_char buf '\n';
+          List.iter (line (depth + 1)) lp.mus;
+          add_items (depth + 1) lp.body;
+          indent depth;
+          add_string buf "while ";
+          add_pred buf f lp.cont;
+          add_char buf '\n')
       items
   in
-  let params =
-    String.concat ", "
-      (List.map (fun (n, t) -> Printf.sprintf "%s: %s" n (string_of_ty t)) f.params)
-  in
-  Buffer.add_string buf (Printf.sprintf "func %s(%s) {\n" f.fname params);
-  pp_items 1 f.fbody;
-  Buffer.add_string buf "}\n";
+  add_string buf "func ";
+  add_string buf f.fname;
+  add_char buf '(';
+  List.iteri
+    (fun k (n, t) ->
+      if k > 0 then add_string buf ", ";
+      add_string buf n;
+      add_string buf ": ";
+      add_ty buf t)
+    f.params;
+  add_string buf ") {\n";
+  add_items 1 f.fbody;
+  add_string buf "}\n"
+
+(* Sized for ~48 bytes a line, so the buffer rarely grows. *)
+let to_string f =
+  let buf = Buffer.create (64 + (48 * Hashtbl.length f.arena)) in
+  add_func buf f;
   Buffer.contents buf
 
 let print f = print_string (to_string f)

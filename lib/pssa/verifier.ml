@@ -79,14 +79,21 @@ let verify f =
       | Mu { recur; loop; _ } -> o = recur && (o = v || in_loop loop o)
       | _ -> false
     in
-    List.iter
-      (fun o ->
-        if not (Hashtbl.mem f.arena o) then fail "v%d uses undefined value v%d" v o;
-        if not (Hashtbl.mem seen_v o) then
-          fail "v%d uses value v%d that is not placed in the body" v o;
-        if not (is_back_edge o) && order (NI o) >= order (NI v) then
-          fail "v%d uses v%d which does not precede it" v o)
-      (all_operands i)
+    let bad o =
+      (not (Hashtbl.mem f.arena o))
+      || (not (Hashtbl.mem seen_v o))
+      || ((not (is_back_edge o)) && order (NI o) >= order (NI v))
+    in
+    (* the message names the first bad operand in id order *)
+    if exists_operand bad i.kind || Pred.exists_literal bad i.ipred then
+      List.iter
+        (fun o ->
+          if not (Hashtbl.mem f.arena o) then fail "v%d uses undefined value v%d" v o;
+          if not (Hashtbl.mem seen_v o) then
+            fail "v%d uses value v%d that is not placed in the body" v o;
+          if not (is_back_edge o) && order (NI o) >= order (NI v) then
+            fail "v%d uses v%d which does not precede it" v o)
+        (all_operands i)
   in
   Hashtbl.iter (fun v _ -> if Hashtbl.mem seen_v v then check_uses v) f.arena;
   (* 3. predicate literals are boolean *)

@@ -63,6 +63,9 @@ type t = {
   fp_by_name : (string, string) Hashtbl.t;
       (** kernel name × pipeline × flags -> unit key of its last
           compiled content *)
+  reply : Buffer.t;
+      (** every reply line is written here; it keeps its capacity from
+          one reply to the next *)
 }
 
 let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
@@ -84,6 +87,7 @@ let create ?(jobs = Pool.default_jobs ()) ?cache_max ?slow_ms () : t =
     uinvalidated = 0;
     urecomputed = 0;
     fp_by_name = Hashtbl.create 64;
+    reply = Buffer.create 4096;
   }
 
 (* ----------------------------------------------------------- compiling *)
@@ -436,16 +440,15 @@ let handle_request (t : t) (rq : P.request) : P.response =
 
 (* ------------------------------------------------------------- control *)
 
-let ping_line (t : t) : string =
-  J.to_string ~minify:true
-    (J.Assoc
-       [
-         ("ok", J.Bool true);
-         ("version", J.String Version.banner);
-         ("protocol", J.Int P.protocol_version);
-         ("cache_schema", J.Int Cache.schema_version);
-         ("jobs", J.Int t.jobs);
-       ])
+let ping_json (t : t) : J.t =
+  J.Assoc
+    [
+      ("ok", J.Bool true);
+      ("version", J.String Version.banner);
+      ("protocol", J.Int P.protocol_version);
+      ("cache_schema", J.Int Cache.schema_version);
+      ("jobs", J.Int t.jobs);
+    ]
 
 (* One snapshot type feeds both {"op":"stats"} and {"op":"metrics"}
    (both formats), so the two endpoints cannot drift: every field here
@@ -506,23 +509,22 @@ let hit_rate (sn : snapshot) : float =
   if sn.sn_requests = 0 then 0.0
   else float_of_int sn.sn_hits /. float_of_int sn.sn_requests
 
-let stats_line (t : t) : string =
+let stats_json (t : t) : J.t =
   let sn = snapshot t in
-  J.to_string ~minify:true
-    (J.Assoc
-       [
-         ("ok", J.Bool true);
-         ("requests", J.Int sn.sn_requests);
-         ("batches", J.Int sn.sn_batches);
-         ("hits", J.Int sn.sn_hits);
-         ("coalesced", J.Int sn.sn_coalesced);
-         ("misses", J.Int sn.sn_misses);
-         ("errors", J.Int sn.sn_errors);
-         ("entries", J.Int sn.sn_entries);
-         ("capacity", J.Int sn.sn_capacity);
-         ("evictions", J.Int sn.sn_evictions);
-         ("incremental", incremental_json sn);
-       ])
+  J.Assoc
+    [
+      ("ok", J.Bool true);
+      ("requests", J.Int sn.sn_requests);
+      ("batches", J.Int sn.sn_batches);
+      ("hits", J.Int sn.sn_hits);
+      ("coalesced", J.Int sn.sn_coalesced);
+      ("misses", J.Int sn.sn_misses);
+      ("errors", J.Int sn.sn_errors);
+      ("entries", J.Int sn.sn_entries);
+      ("capacity", J.Int sn.sn_capacity);
+      ("evictions", J.Int sn.sn_evictions);
+      ("incremental", incremental_json sn);
+    ]
 
 (* {"op":"metrics"}: the same snapshot plus the latency histograms and
    uptime — everything wall-derived under "timing", so the non-timing
@@ -612,38 +614,42 @@ let metrics_text (t : t) : string =
   histogram "fgv_batch_duration_seconds" t.h_batch;
   Buffer.contents buf
 
-let metrics_line (t : t) (fmt : P.metrics_format) : string =
+let metrics_reply (t : t) (fmt : P.metrics_format) : J.t =
   match fmt with
-  | P.Mjson -> J.to_string ~minify:true (metrics_json t)
+  | P.Mjson -> metrics_json t
   | P.Mtext ->
-    J.to_string ~minify:true
-      (J.Assoc
-         [
-           ("ok", J.Bool true);
-           ("schema", J.Int Version.metrics_schema);
-           ("format", J.String "text");
-           ("body", J.String (metrics_text t));
-         ])
+    J.Assoc
+      [
+        ("ok", J.Bool true);
+        ("schema", J.Int Version.metrics_schema);
+        ("format", J.String "text");
+        ("body", J.String (metrics_text t));
+      ]
 
 type step = Reply of string | Quit of string
 
+(* A reply line, written into the service's reply buffer: replies of a
+   16-kernel unit run to ~90 KB, and a buffer grown from scratch for
+   each would allocate about twice that again. *)
+let reply_text (t : t) (j : J.t) : string =
+  Buffer.clear t.reply;
+  J.to_buffer ~minify:true t.reply j;
+  Buffer.contents t.reply
+
 (* One wire line in, one wire line out (plus whether to stop). *)
 let handle_line (t : t) (text : string) : step =
+  let reply j = Reply (reply_text t j) in
   match P.decode_line text with
-  | P.Malformed e -> Reply (P.error_line e)
-  | P.Single rq -> Reply (P.response_line (handle_request t rq))
-  | P.Batch rqs ->
-    Reply
-      (J.to_string ~minify:true
-         (J.List (List.map P.encode_response (handle_batch t rqs))))
+  | P.Malformed e -> reply (P.encode_response (P.Failed { id = ""; error = e }))
+  | P.Single rq -> reply (P.encode_response (handle_request t rq))
+  | P.Batch rqs -> reply (J.List (List.map P.encode_response (handle_batch t rqs)))
   | P.Control c -> (
     Ev.emit Ev.Debug "control" [ ("op", J.String (P.control_name c)) ];
     match c with
-    | P.Cping -> Reply (ping_line t)
-    | P.Cstats -> Reply (stats_line t)
-    | P.Cmetrics fmt -> Reply (metrics_line t fmt)
-    | P.Cshutdown ->
-      Quit (J.to_string ~minify:true (J.Assoc [ ("ok", J.Bool true) ])))
+    | P.Cping -> reply (ping_json t)
+    | P.Cstats -> reply (stats_json t)
+    | P.Cmetrics fmt -> reply (metrics_reply t fmt)
+    | P.Cshutdown -> Quit (reply_text t (J.Assoc [ ("ok", J.Bool true) ])))
 
 (* ----------------------------------------------------------- transports *)
 

@@ -36,24 +36,32 @@ let escape_string s =
 
 (* JSON has no NaN/Infinity; also "%.17g" can print "1e+3" style
    exponents, which are fine, but never a leading '.' or trailing '.'
-   without digits — normalize "1." to "1.0". *)
+   without digits — normalize "1." to "1.0".  An integral float from
+   1e15 up to 1e17 prints under "%.17g" as bare digits, which would read
+   back as an int: it gets a ".0" too. *)
 let float_repr x =
   if Float.is_nan x then "null"
   else if Float.is_integer x && Float.abs x < 1e15 then
     Printf.sprintf "%.1f" x
   else if x = Float.infinity then "1e999"
   else if x = Float.neg_infinity then "-1e999"
-  else Printf.sprintf "%.17g" x
+  else
+    let s = Printf.sprintf "%.17g" x in
+    if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
 
-let to_string ?(minify = false) (j : t) : string =
-  let buf = Buffer.create 256 in
-  let pad depth = if not minify then Buffer.add_string buf (String.make (2 * depth) ' ') in
+let to_buffer ?(minify = false) buf (j : t) =
+  let pad depth =
+    if not minify then
+      for _ = 1 to depth do
+        Buffer.add_string buf "  "
+      done
+  in
   let nl () = if not minify then Buffer.add_char buf '\n' in
   let rec go depth j =
     match j with
     | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int n -> Buffer.add_string buf (string_of_int n)
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int n -> Textbuf.add_int buf n
     | Float x -> Buffer.add_string buf (float_repr x)
     | String s -> add_escaped buf s
     | List [] -> Buffer.add_string buf "[]"
@@ -85,7 +93,11 @@ let to_string ?(minify = false) (j : t) : string =
       pad depth;
       Buffer.add_char buf '}'
   in
-  go 0 j;
+  go 0 j
+
+let to_string ?minify (j : t) : string =
+  let buf = Buffer.create 256 in
+  to_buffer ?minify buf j;
   Buffer.contents buf
 
 (* ------------------------------------------------------------- parser *)

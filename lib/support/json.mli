@@ -22,6 +22,11 @@ val to_string : ?minify:bool -> t -> string
     pretty-prints with two-space indentation; floats are emitted in a
     form every JSON parser accepts (no [nan]/[inf], no bare [.5]). *)
 
+val to_buffer : ?minify:bool -> Buffer.t -> t -> unit
+(** [to_buffer buf j] appends [to_string j] to [buf], building no
+    intermediate string: the compile service writes every reply into
+    one buffer it reuses. *)
+
 val escape_string : string -> string
 (** ["…"]-quoted JSON string literal with control characters escaped. *)
 
@@ -30,8 +35,8 @@ val add_escaped : Buffer.t -> string -> unit
     building the intermediate string. *)
 
 val float_repr : float -> string
-(** The float formatting [to_string] uses: integral floats as ["3.0"],
-    NaN as ["null"], infinities as out-of-range exponents (["1e999"],
+(** The float formatting [to_string] uses: integral floats as ["3.0"]
+    (["1e+17"] style from 1e17 up), NaN as ["null"], infinities as out-of-range exponents (["1e999"],
     which standard parsers read back as IEEE infinity), every other
     finite float as ["%.17g"].  Round-trip guarantee: for finite [x],
     [of_string (float_repr x) = Ok (Float x)] bit-for-bit — 17

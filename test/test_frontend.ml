@@ -154,6 +154,28 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected error for %s" src)
     bad
 
+(* A numeric literal [float_of_string]/[int_of_string] rejects is a
+   lex error, not an escaping [Failure]. *)
+let test_bad_literals () =
+  List.iter
+    (fun (lit, why) ->
+      let src = Printf.sprintf "kernel k(float* a, int n) { a[0] = %s; }" lit in
+      match Fgv_frontend.Lexer.tokenize src with
+      | exception Fgv_frontend.Lexer.Error m ->
+        Alcotest.(check string) (lit ^ ": message") ("line 1: " ^ why) m
+      | _ -> Alcotest.failf "expected a lex error for %s" lit)
+    [
+      ("1e", "malformed number 1e");
+      ("1.5e+", "malformed number 1.5e+");
+      ("4611686018427387904", "integer literal 4611686018427387904 out of range");
+      ("99999999999999999999", "integer literal 99999999999999999999 out of range");
+    ];
+  (* the largest int still lexes *)
+  match Fgv_frontend.Lexer.tokenize "4611686018427387903" with
+  | [| Fgv_frontend.Lexer.TInt n; Fgv_frontend.Lexer.TEOF |] ->
+    Alcotest.(check int) "max_int lexes" max_int n
+  | _ -> Alcotest.fail "max_int did not lex as one integer"
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -176,5 +198,7 @@ let suite =
     Alcotest.test_case "running example (alias)" `Quick test_running_example_alias;
     Alcotest.test_case "ternary" `Quick test_ternary;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "bad numeric literals are lex errors" `Quick
+      test_bad_literals;
     Alcotest.test_case "printer smoke" `Quick test_printer_roundtrip_smoke;
   ]

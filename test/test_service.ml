@@ -341,6 +341,173 @@ let test_served_compile_spans () =
         [ "plan.infer"; "cut.find"; "slp" ])
     [ 1; 2 ]
 
+(* A malformed or out-of-range numeric literal is a lex error like any
+   other: the request answers ok:false and the service keeps serving. *)
+let test_bad_literal_keeps_serving () =
+  let svc = S.create ~jobs:1 () in
+  let reply text =
+    match S.handle_line svc text with S.Reply s | S.Quit s -> s
+  in
+  let ping = reply {|{"op":"ping"}|} in
+  List.iter
+    (fun lit ->
+      let text =
+        Printf.sprintf
+          {|{"source":"kernel k(float* a, int n) { a[0] = %s; }","pipeline":"o3"}|}
+          lit
+      in
+      let r = Result.get_ok (J.of_string (reply text)) in
+      Alcotest.(check (option bool)) (lit ^ ": ok:false") (Some false)
+        (J.bool_member "ok" r);
+      (match J.string_member "error" r with
+      | Some e when String.starts_with ~prefix:"lex error: " e -> ()
+      | e ->
+        Alcotest.failf "%s: expected a lex error, got %s" lit
+          (Option.value e ~default:"none"));
+      Alcotest.(check string) (lit ^ ": still answers ping") ping
+        (reply {|{"op":"ping"}|}))
+    [ "1e"; "4611686018427387904"; "99999999999999999999" ]
+
+(* The service writes every reply into one buffer it keeps: after a
+   large multi-kernel reply, a ping reads exactly as on a fresh
+   service. *)
+let test_reply_buffer_reuse () =
+  let reply svc text =
+    match S.handle_line svc text with S.Reply s | S.Quit s -> s
+  in
+  let ping = {|{"op":"ping"}|} in
+  let fresh = reply (S.create ~jobs:1 ()) ping in
+  let unit_src =
+    String.concat "\n"
+      (List.filteri
+         (fun i _ -> i < 16)
+         (List.map
+            (fun (k : Fgv_bench.Workload.kernel) -> k.Fgv_bench.Workload.k_source)
+            Fgv_bench.Tsvc.kernels))
+  in
+  let svc = S.create ~jobs:1 () in
+  let big = reply svc (J.to_string ~minify:true (P.encode_request (rq unit_src))) in
+  Alcotest.(check bool) "the unit compiles" true
+    (J.bool_member "ok" (Result.get_ok (J.of_string big)) = Some true);
+  Alcotest.(check bool)
+    (Printf.sprintf "a large reply (%d bytes)" (String.length big))
+    true
+    (String.length big > 60_000);
+  Alcotest.(check string) "ping after it reads as on a fresh service" fresh
+    (reply svc ping);
+  Alcotest.(check string) "a repeated reply is unchanged" big
+    (reply svc (J.to_string ~minify:true (P.encode_request (rq unit_src))))
+
+(* ------------------------------------------------ codec properties *)
+
+(* Random documents: arbitrary bytes in strings and keys, any int,
+   finite floats (with the awkward ones over-represented). *)
+let json_gen =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 10) in
+  let finite =
+    frequency
+      [
+        (3, map (fun x -> if Float.is_finite x then x else 0.5) float);
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; 1e15; -1e15; 1e-320; 0.1; 123456789012345.0;
+              Float.max_float; Float.min_float; -4.9e-324 ] );
+      ]
+  in
+  let leaf =
+    oneof
+      [
+        pure J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun n -> J.Int n) int;
+        map (fun n -> J.Int n) (oneofl [ 0; -1; max_int; min_int ]);
+        map (fun x -> J.Float x) finite;
+        map (fun s -> J.String s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 5) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> J.Assoc l)
+                   (list_size (int_bound 5) (pair str (self (n / 3)))) );
+             ])
+
+let seeded test =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x15 |]) test
+
+let prop_buffer_writer =
+  QCheck2.Test.make ~name:"json buffer writer equals to_string" ~count:500
+    ~print:(J.to_string ~minify:true) json_gen (fun j ->
+      let buf = Buffer.create 1 in
+      Buffer.add_string buf "prefix";
+      J.to_buffer ~minify:true buf j;
+      let pretty = Buffer.create 1 in
+      J.to_buffer pretty j;
+      Buffer.contents buf = "prefix" ^ J.to_string ~minify:true j
+      && Buffer.contents pretty = J.to_string j)
+
+let prop_round_trip =
+  QCheck2.Test.make ~name:"json of_string inverts the writer" ~count:500
+    ~print:(J.to_string ~minify:true) json_gen (fun j ->
+      J.of_string (J.to_string ~minify:true j) = Ok j
+      && J.of_string (J.to_string j) = Ok j)
+
+(* Seeded byte-level mutations of real request lines: flips, cuts,
+   insertions and splices.  Decoding answers every one of them without
+   raising. *)
+let prop_decode_never_raises =
+  let bases =
+    [
+      J.to_string ~minify:true (P.encode_request (rq ~id:"x" src));
+      J.to_string ~minify:true
+        (J.List [ P.encode_request (rq src); P.encode_request (rq ~emit_c:true src) ]);
+      {|{"op":"metrics","format":"text"}|};
+      {|{"source":"kernel k(float* a, int n) { a[0] = 1e; }","pipeline":"o3"}|};
+    ]
+  in
+  let open QCheck2.Gen in
+  let edit =
+    oneof
+      [
+        map2 (fun i c -> `Set (i, c)) nat char;
+        map2 (fun i n -> `Cut (i, n)) nat (int_bound 8);
+        map2 (fun i s -> `Insert (i, s)) nat (string_size ~gen:char (int_bound 6));
+        map2 (fun i s -> `Insert (i, s)) nat
+          (oneofl [ "{"; "}"; "["; "]"; "\""; ","; ":"; "\\u"; "-"; "1e999"; "null" ]);
+      ]
+  in
+  let apply s = function
+    | (`Set _ | `Cut _) when s = "" -> s
+    | `Set (i, c) ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod Bytes.length b) c;
+      Bytes.to_string b
+    | `Cut (i, n) ->
+      let i = i mod String.length s in
+      let n = min n (String.length s - i) in
+      String.sub s 0 i ^ String.sub s (i + n) (String.length s - i - n)
+    | `Insert (i, t) ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ t ^ String.sub s i (String.length s - i)
+  in
+  QCheck2.Test.make ~name:"decode_line never raises on mutated lines"
+    ~count:2000 ~print:Fun.id
+    (map2 (fun base edits -> List.fold_left apply base edits)
+       (oneofl bases) (list_size (int_range 1 6) edit))
+    (fun line ->
+      match P.decode_line line with
+      | _ -> true
+      | exception e ->
+        QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "hit is byte-identical" `Quick
@@ -356,6 +523,13 @@ let suite =
       test_failures_not_cached;
     Alcotest.test_case "second pipeline is not an edit" `Quick
       test_second_pipeline_is_not_an_edit;
+    Alcotest.test_case "bad numeric literal keeps the service up" `Quick
+      test_bad_literal_keeps_serving;
+    Alcotest.test_case "reply buffer reuse leaks nothing" `Quick
+      test_reply_buffer_reuse;
+    seeded prop_buffer_writer;
+    seeded prop_round_trip;
+    seeded prop_decode_never_raises;
     Alcotest.test_case "served compile keeps its pipeline spans" `Quick
       test_served_compile_spans;
   ]
